@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -234,13 +235,16 @@ def _build_problem(cfg: RunConfig):
             raise _fail("scenario", str(exc)) from None
     else:
         params_doc = dict(cfg.params or {})
-        params = Parameters(
-            kappa=float(params_doc.get("kappa", 0.005)),
-            alpha_g=0.5 * float(params_doc.get("alpha_g2", 1.0)),
-            s_bar=float(params_doc.get("s_bar", scenarios.sandy_loam_sbar())),
-            gamma=float(params_doc.get("gamma", 1.0)),
-            depth_h=float(params_doc.get("h", 5.0)),
-        )
+        try:
+            params = Parameters(
+                kappa=float(params_doc.get("kappa", 0.005)),
+                alpha_g=0.5 * float(params_doc.get("alpha_g2", 1.0)),
+                s_bar=float(params_doc.get("s_bar", scenarios.sandy_loam_sbar())),
+                gamma=float(params_doc.get("gamma", 1.0)),
+                depth_h=float(params_doc.get("h", 5.0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise _fail("params", str(exc)) from None
         if cfg.t_end is None and "t_end" not in cfg.set_overrides:
             raise _fail("t_end", "required for inline configurations")
         try:
@@ -280,8 +284,8 @@ def _build_problem(cfg: RunConfig):
     d = o.get("d", scenario.d)
     # Precedence: --t-end / config file, then --set t_end, then the preset.
     t_end = cfg.t_end if cfg.t_end is not None else o.get("t_end", scenario.t_end)
-    if not t_end >= 0.0:
-        raise _fail("t_end", f"must be >= 0, got {t_end}")
+    if not 0.0 <= t_end < math.inf:
+        raise _fail("t_end", f"must be finite and >= 0, got {t_end}")
     output_times = tuple(cfg.output_times) if cfg.output_times is not None \
         else scenario.output_times
     output_times = tuple(sorted({t for t in output_times if 0.0 <= t <= t_end}))
@@ -290,6 +294,7 @@ def _build_problem(cfg: RunConfig):
     try:
         scenario = dataclasses.replace(
             scenario, params=params, d=d, t_end=t_end, output_times=output_times)
+        scenario.build_grid()  # rejects a cell width outside (0, h]
     except ValueError as exc:
         raise _fail("config", str(exc)) from None
 

@@ -16,6 +16,7 @@ dz * sum(s) changes only through the two boundary faces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -77,11 +78,19 @@ def _as_time_fn(value: Union[float, TimeFn]) -> TimeFn:
     return lambda t: v
 
 
+def _check_constant(value: Union[float, TimeFn], what: str) -> None:
+    if not callable(value) and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Dirichlet:
     """Prescribed boundary saturation, a constant or a function of time."""
 
     value: Union[float, TimeFn]
+
+    def __post_init__(self):
+        _check_constant(self.value, "Dirichlet value")
 
     def value_at(self, t: float) -> float:
         return _as_time_fn(self.value)(t)
@@ -98,6 +107,9 @@ class Flux:
 
     value: Union[float, TimeFn]
 
+    def __post_init__(self):
+        _check_constant(self.value, "Flux value")
+
     def value_at(self, t: float) -> float:
         return _as_time_fn(self.value)(t)
 
@@ -110,8 +122,8 @@ class Robin:
     s_out: float
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"Robin beta must be > 0, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"Robin beta must be finite and > 0, got {self.beta}")
         if not 0.0 <= self.s_out <= 1.0:
             raise ValueError(f"Robin s_out must be in [0, 1], got {self.s_out}")
 
@@ -236,9 +248,9 @@ def jacobian(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> Tridi
     gp = gravity_flux_derivative(s, p)
 
     kdz2 = k / (dz * dz)
-    diag = np.full(n, -2.0 * kdz2) - gp / dz
-    lower = np.full(max(n - 1, 0), kdz2)
-    upper = kdz2 + gp[1:] / dz if n > 1 else np.empty(0)
+    diag = -2.0 * kdz2 - gp / dz
+    lower = np.full(n - 1, kdz2)
+    upper = kdz2 + gp[1:] / dz
 
     # Boundary rows: drop the missing outer coupling, add the BC slope.
     diag[0] += kdz2 + gp[0] / dz

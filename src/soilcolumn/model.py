@@ -10,6 +10,7 @@ on the vertical domain z in (-depth_h, 0), z increasing upward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,20 +21,20 @@ class Parameters:
     """Constants of the saturation equation.
 
     kappa
-        Capillary diffusion coefficient, >= 0.
+        Capillary diffusion coefficient, finite and >= 0.
     alpha_g
         Product of the solid-liquid friction time constant and gravity.
         Only the combination 2*alpha_g enters the model, so the factors
-        are stored as a single number, >= 0.
+        are stored as a single number, finite and >= 0.
     s_bar
         Residual saturation below which gravitational transport is
         inactive, in [0, 1).
     gamma
-        Slope of the linear pressure law s = gamma * p, > 0. Note that
-        kappa is used as given in the flux law: with gamma != 1 it is
-        the caller's job to fold any 1/gamma rescaling into kappa.
+        Slope of the linear pressure law s = gamma * p, finite and > 0.
+        Note that kappa is used as given in the flux law: with gamma != 1
+        it is the caller's job to fold any 1/gamma rescaling into kappa.
     depth_h
-        Column depth, > 0; the domain is (-depth_h, 0).
+        Column depth, finite and > 0; the domain is (-depth_h, 0).
     """
 
     kappa: float
@@ -43,16 +44,16 @@ class Parameters:
     depth_h: float = 5.0
 
     def __post_init__(self):
-        if not self.kappa >= 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if not self.alpha_g >= 0.0:
-            raise ValueError(f"alpha_g must be >= 0, got {self.alpha_g}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not 0.0 <= self.alpha_g < math.inf:
+            raise ValueError(f"alpha_g must be finite and >= 0, got {self.alpha_g}")
         if not 0.0 <= self.s_bar < 1.0:
             raise ValueError(f"s_bar must be in [0, 1), got {self.s_bar}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not self.depth_h > 0.0:
-            raise ValueError(f"depth_h must be > 0, got {self.depth_h}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0.0 < self.depth_h < math.inf:
+            raise ValueError(f"depth_h must be finite and > 0, got {self.depth_h}")
 
 
 def positive_part(x):

@@ -1,5 +1,7 @@
 import pytest
 
+from soilcolumn import timestepper
+
 # One line per acceptance criterion, printed after the run so the
 # verdicts are visible even when pytest captures test output.
 _ACCEPTANCE_LINES = []
@@ -12,6 +14,15 @@ def acceptance_report():
         _ACCEPTANCE_LINES.append(f"{verdict}  {criterion}: {detail}")
 
     return record
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    """Make any Newton stage fail the test, so a missing input check
+    fails at once instead of hanging the run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver ran")
+    monkeypatch.setattr(timestepper, "_newton_solve", refuse)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

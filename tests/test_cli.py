@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from soilcolumn.cli import main
 
 FAST = ["--set", "kappa=0.01", "--t-end", "0.5", "--output-times", "0.25,0.5"]
@@ -134,6 +136,33 @@ class TestConfigErrors:
     def test_invalid_parameter_value(self, tmp_path):
         assert main(["run", "--scenario", "example3", "--set", "kappa=-1",
                      "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--t-end", "inf"],
+        ["--set", "t_end=nan"],
+        ["--set", "kappa=inf"],
+        ["--set", "d=inf"],
+    ])
+    def test_rejected_before_solving(self, tmp_path, capsys, no_solver, args):
+        code = main(["run", "--scenario", "example3", *args,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"params": {"kappa": -1.0}},
+        {"params": {"h": float("inf")}},
+        {"bc": {"top": {"type": "dirichlet", "value": float("nan")},
+                "bottom": {"type": "flux", "value": 0.0}}},
+    ])
+    def test_inline_config_rejected_before_solving(self, tmp_path, capsys,
+                                                   no_solver, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"ic": [[-1.0, 0.1]], "t_end": 0.1, **doc}))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -102,10 +102,18 @@ class TestBoundaryFlux:
             boundary_flux(TOP, Dirichlet(0.0), 0.4, 0.0, SANDY)
 
     @pytest.mark.parametrize("beta,s_out", [(0.0, 0.5), (-1.0, 0.5),
-                                            (1.0, -0.1), (1.0, 1.1)])
+                                            (1.0, -0.1), (1.0, 1.1),
+                                            (float("inf"), 0.5)])
     def test_robin_validation(self, beta, s_out):
         with pytest.raises(ValueError):
             Robin(beta, s_out)
+
+    @pytest.mark.parametrize("cls", [Dirichlet, Flux])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_constant_value_must_be_finite(self, cls, value):
+        with pytest.raises(ValueError):
+            cls(value)
+        cls(lambda t: value)  # a time function is evaluated only when used
 
 
 class TestRhs:

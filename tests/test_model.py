@@ -17,6 +17,11 @@ SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
     dict(kappa=0.005, alpha_g=0.5, s_bar=1.0),
     dict(kappa=0.005, alpha_g=0.5, s_bar=0.2, gamma=0.0),
     dict(kappa=0.005, alpha_g=0.5, s_bar=0.2, depth_h=0.0),
+    dict(kappa=float("inf"), alpha_g=0.5, s_bar=0.2),
+    dict(kappa=float("nan"), alpha_g=0.5, s_bar=0.2),
+    dict(kappa=0.005, alpha_g=float("inf"), s_bar=0.2),
+    dict(kappa=0.005, alpha_g=0.5, s_bar=0.2, gamma=float("inf")),
+    dict(kappa=0.005, alpha_g=0.5, s_bar=0.2, depth_h=float("inf")),
 ])
 def test_parameters_validation(kwargs):
     with pytest.raises(ValueError):

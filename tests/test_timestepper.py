@@ -134,6 +134,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(State(0.0, np.zeros(3)), 1.0, [], g, SANDY, no_flux())
 
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan])
+    def test_non_finite_t_end_rejected(self, no_solver, t_end):
+        g = build_grid(1.0, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(State(0.0, np.zeros(g.n_cells)), t_end, [], g, SANDY,
+                      no_flux())
+
+    def test_non_finite_initial_state_rejected(self, no_solver):
+        g = build_grid(1.0, 0.1)
+        s = np.full(g.n_cells, 0.3)
+        s[4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(State(0.0, s), 1.0, [], g, SANDY, no_flux())
+
     def test_pure_diffusion_max_principle_over_run(self):
         p = Parameters(kappa=0.005, alpha_g=0.0, s_bar=0.0)
         g = build_grid(5.0, 0.02)

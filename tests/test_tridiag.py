@@ -1,6 +1,18 @@
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import soilcolumn
+from soilcolumn.discretization import jacobian
+from soilcolumn.scenarios import example3
 from soilcolumn.tridiag import SingularMatrixError, Tridiagonal, solve
 
 
@@ -14,7 +26,8 @@ def random_system(rng, n):
     return Tridiagonal(lower=lower, diag=diag, upper=upper)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 10, 500])
+# Sizes on both sides of the 2**k - 1 rows the reduction pads to.
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 10, 500, 511, 512, 513])
 def test_solve_matches_dense(n):
     rng = np.random.default_rng(n)
     tri = random_system(rng, n)
@@ -47,3 +60,78 @@ def test_size_mismatch_raises():
                       upper=np.array([1.0]))
     with pytest.raises(ValueError):
         solve(tri, np.array([1.0, 1.0, 1.0]))
+
+
+def newton_matrix(scenario, dt):
+    """I - dt*J at the scenario's initial state, as the Newton loop builds it."""
+    grid = scenario.build_grid()
+    jac = jacobian(scenario.initial_state(grid), grid, scenario.params, scenario.bc)
+    return Tridiagonal(lower=-dt * jac.lower, diag=1.0 - dt * jac.diag,
+                       upper=-dt * jac.upper)
+
+
+def relative_residual(tri, x, b):
+    """max|tri @ x - b| over max-norm(tri) * max|x|."""
+    row_sums = np.abs(tri.diag)
+    row_sums[:-1] += np.abs(tri.upper)
+    row_sums[1:] += np.abs(tri.lower)
+    return np.abs(tri.matvec(x) - b).max() / (row_sums.max() * np.abs(x).max())
+
+
+def test_pure_transport_newton_matrix():
+    # kappa=0: the upwind Jacobian has no lower diagonal at all
+    tri = newton_matrix(example3(kappa=0.0), dt=0.5)
+    assert not tri.lower.any()
+    assert tri.upper.any()
+    b = np.random.default_rng(7).normal(size=tri.n)
+    np.testing.assert_allclose(solve(tri, b), np.linalg.solve(tri.to_dense(), b),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_fine_grid_newton_matrix():
+    tri = newton_matrix(dataclasses.replace(example3(), d=0.001), dt=0.1)
+    assert tri.n == 5000
+    b = np.random.default_rng(8).normal(size=tri.n)
+    assert relative_residual(tri, solve(tri, b), b) <= 1e-14
+
+
+@st.composite
+def dominant_systems(draw):
+    """Row-diagonally dominant systems, diagonals of either sign."""
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    margin = draw(st.floats(1e-6, 10.0))
+    lower, upper = scale * rng.normal(size=(2, n - 1))
+    if draw(st.booleans()):
+        lower[:] = 0.0
+    diag = scale * margin * (1.0 + rng.random(n))
+    diag[:-1] += np.abs(upper)
+    diag[1:] += np.abs(lower)
+    diag *= rng.choice([-1.0, 1.0], size=n)
+    return Tridiagonal(lower=lower, diag=diag, upper=upper), rng.normal(size=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominant_systems())
+def test_residual_on_dominant_systems(system):
+    tri, b = system
+    assert relative_residual(tri, solve(tri, b), b) <= 1e-12
+
+
+def test_solver_path_does_not_import_scipy():
+    # SciPy would add about 0.3 s to start-up and 28 MiB of resident memory
+    code = textwrap.dedent("""
+        import sys
+        import soilcolumn
+        scn = soilcolumn.example3()
+        grid = soilcolumn.build_grid(scn.params.depth_h, 0.1)
+        trace = soilcolumn.integrate(scn.initial_state(grid), 0.01, [], grid,
+                                     scn.params, scn.bc)
+        assert trace.status == "completed", trace.failure_reason
+        assert "scipy" not in sys.modules, "scipy was imported"
+    """)
+    src = str(Path(soilcolumn.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": path})

@@ -161,7 +161,11 @@ def _config_from_file(path: str) -> RunConfig:
     if "t_end" in doc:
         cfg.t_end = float(doc["t_end"])
     if "output_times" in doc:
-        cfg.output_times = [float(t) for t in doc["output_times"]]
+        try:
+            cfg.output_times = [float(t) for t in doc["output_times"]]
+        except (TypeError, ValueError):
+            raise _fail(f"{path}: output_times",
+                        f"not a list of numbers: {doc['output_times']!r}") from None
     if "set" in doc:
         _check_keys(doc["set"], _SET_KEYS, f"{path}: set")
         cfg.set_overrides = dict(doc["set"])
@@ -286,9 +290,15 @@ def _build_problem(cfg: RunConfig):
     t_end = cfg.t_end if cfg.t_end is not None else o.get("t_end", scenario.t_end)
     if not 0.0 <= t_end < math.inf:
         raise _fail("t_end", f"must be finite and >= 0, got {t_end}")
-    output_times = tuple(cfg.output_times) if cfg.output_times is not None \
-        else scenario.output_times
-    output_times = tuple(sorted({t for t in output_times if 0.0 <= t <= t_end}))
+    if cfg.output_times is not None:
+        bad = [t for t in cfg.output_times if not 0.0 <= t <= t_end]
+        if bad:
+            raise _fail("output_times", f"{bad} outside [0, t_end={t_end}]")
+        output_times = cfg.output_times
+    else:
+        # A preset's output times past a shortened t_end are dropped.
+        output_times = [t for t in scenario.output_times if t <= t_end]
+    output_times = tuple(sorted(set(output_times)))
     if not output_times:
         output_times = (t_end,)
     try:

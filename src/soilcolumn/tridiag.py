@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +42,33 @@ class Tridiagonal:
         return a
 
 
+def _dominant_depth(rho: float) -> int:
+    """Levels after which rho**(2**k) <= 2**-53, for 0 <= rho < 1."""
+    if rho == 0.0:
+        return 0
+    return max(0, math.ceil(math.log2(math.log(2.0 ** -53) / math.log(rho))))
+
+
 def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Solve tri @ x = rhs by odd-even cyclic reduction (no pivoting).
 
-    The system is padded with identity rows to m = 2**k - 1 rows, so
+    The system is padded with identity rows to m = 2**L - 1 rows, so
     every level splits the same way: the even-indexed rows are
     eliminated from their odd-indexed neighbours, which leaves a
     tridiagonal system of (m - 1) / 2 rows in the odd unknowns. After
-    k - 1 levels one row is left; back-substitution then recovers the
+    L - 1 levels one row is left; back-substitution then recovers the
     even unknowns of each level from its stored rows. That is the O(n)
     work of Gaussian elimination done in log2(n) vectorised passes.
     Without pivoting it is stable on diagonally dominant matrices, such
     as the M-matrix I - dt*J of the implicit step.
+
+    The reduction stops early on strictly row-dominant systems. With
+    rho = max_i (|a_i| + |c_i|) / |b_i| < 1, the off-diagonals of level
+    k are at most rho**(2**k) of their diagonal (Heller 1976), so after
+    k = ceil(log2(log(2**-53) / log(rho))) levels they are within the
+    unit round-off 2**-53 and each remaining row is solved as x = d / b.
+    Otherwise (rho >= 1, or not finite) the reduction runs to its single
+    row.
 
     Raises ValueError when rhs does not match the matrix size, and
     SingularMatrixError when a pivot vanishes or the solution is not
@@ -77,7 +93,11 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     # A zero pivot turns its own unknown into inf or nan, so the
     # finiteness check on the solution catches it without a test per level.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while b.size > 1:
+        depth = m.bit_length() - 1
+        rho = ((np.abs(a) + np.abs(c)) / np.abs(b)).max()
+        if 0.0 <= rho < 1.0:
+            depth = min(depth, _dominant_depth(rho))
+        for _ in range(depth):
             alpha = a[1::2] / b[:-1:2]
             gamma = c[1::2] / b[2::2]
             a, b, c, d = (
@@ -91,9 +111,11 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
         # j of the level with stride `step` is row (j + 1) * step / 2 - 1,
         # so its even rows sit at step/2, 3*step/2, ... and their
         # neighbours, solved one level up, half a stride to either side.
+        # The top level's off-diagonals are zero or within round-off.
         x = np.zeros(m + 2)
-        step = m + 1
-        for a, b, c, d in reversed(levels):
+        step = 1 << depth
+        x[step:-1:step] = d / b
+        for a, b, c, d in reversed(levels[:-1]):
             x[step // 2::step] = (
                 d[::2] + a[::2] * x[:-1:step] + c[::2] * x[step::step]) / b[::2]
             step //= 2

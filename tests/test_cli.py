@@ -142,6 +142,9 @@ class TestConfigErrors:
         ["--set", "t_end=nan"],
         ["--set", "kappa=inf"],
         ["--set", "d=inf"],
+        ["--t-end", "0.001", "--output-times", "nan,7"],
+        ["--t-end", "0.001", "--output-times=-0.0005,0.001"],
+        ["--output-times", "inf"],
     ])
     def test_rejected_before_solving(self, tmp_path, capsys, no_solver, args):
         code = main(["run", "--scenario", "example3", *args,
@@ -154,6 +157,9 @@ class TestConfigErrors:
         {"params": {"h": float("inf")}},
         {"bc": {"top": {"type": "dirichlet", "value": float("nan")},
                 "bottom": {"type": "flux", "value": 0.0}}},
+        {"output_times": [0.2]},
+        {"output_times": [float("nan")]},
+        {"output_times": ["soon"]},
     ])
     def test_inline_config_rejected_before_solving(self, tmp_path, capsys,
                                                    no_solver, doc):

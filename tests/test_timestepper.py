@@ -5,7 +5,7 @@ from soilcolumn.discretization import State, build_grid, no_flux
 from soilcolumn.model import Parameters
 from soilcolumn.scenarios import example1, example3
 from soilcolumn.timestepper import (
-    COMPLETED, FAILED, SolverSettings, integrate, newton_step)
+    COMPLETED, FAILED, SolverSettings, _newton_solve, integrate, newton_step)
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 
@@ -69,6 +69,17 @@ class TestNewtonStep:
         with pytest.raises(ValueError):
             newton_step(State(0.0, np.zeros(2)), 0.0, g, SANDY, no_flux(),
                         SolverSettings())
+
+    def test_start_at_solution_takes_one_iteration(self):
+        scn = example1()
+        g = scn.build_grid()
+        s_old = scn.initial_state(g).s
+        args = (s_old, 0.01, 0.01, g, scn.params, scn.bc, SolverSettings())
+        u, iters = _newton_solve(*args)
+        assert iters > 1
+        again, iters = _newton_solve(*args, u)
+        assert iters == 1
+        np.testing.assert_array_equal(again, u)
 
     def test_huge_diffusion_step_keeps_max_principle(self):
         # unconditional stability: dt at 1000x the explicit diffusion limit
@@ -194,6 +205,16 @@ class TestIntegrate:
         mass = g.dz * trace.profiles.sum(axis=1)
         slip = np.max(np.abs(np.diff(mass)))
         assert slip <= g.n_cells * settings.newton_tol
+
+    def test_predictor_keeps_stages_near_one_solve(self):
+        # a stage started from its predictor converges after one linear
+        # solve (two iterations); from the old state it needs two solves
+        scn = example1()
+        g = scn.build_grid()
+        trace = integrate(scn.initial_state(g), 5.0, [5.0], g, scn.params,
+                          scn.bc)
+        stages = 3 * (len(trace) - 1)
+        assert trace.step_newton_iters.sum() <= 2.1 * stages
 
     def test_tolerance_monotonicity_on_redistribution(self):
         # tightening rel_tol by decades may only move the solution

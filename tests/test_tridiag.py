@@ -37,6 +37,35 @@ def test_solve_matches_dense(n):
                                rtol=1e-12, atol=1e-12)
 
 
+def max_relative_error(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+# rho = 0 solves every row as x = d / b; rho of about 1e-3 stops the
+# reduction after 3 of its 8 levels.
+@pytest.mark.parametrize("off", [0.0, 5e-4])
+def test_dominant_matrix_stops_early(off):
+    rng = np.random.default_rng(20)
+    tri = Tridiagonal(lower=off * rng.uniform(-1, 1, 499),
+                      diag=rng.uniform(1.0, 2.0, 500),
+                      upper=off * rng.uniform(-1, 1, 499))
+    b = rng.normal(size=500)
+    assert max_relative_error(solve(tri, b),
+                              np.linalg.solve(tri.to_dense(), b)) <= 1e-15
+
+
+def test_laplacian_takes_full_depth():
+    # rho = 1 exactly, so no early stop; one would leave the unit
+    # off-diagonals of a level in place and miss the solution by O(1)
+    n = 500
+    tri = Tridiagonal(lower=-np.ones(n - 1), diag=np.full(n, 2.0),
+                      upper=-np.ones(n - 1))
+    b = np.random.default_rng(22).normal(size=n)
+    # condition number about 1e5: both solves carry that much round-off
+    assert max_relative_error(solve(tri, b),
+                              np.linalg.solve(tri.to_dense(), b)) <= 1e-11
+
+
 def test_matvec_roundtrip():
     rng = np.random.default_rng(3)
     tri = random_system(rng, 40)

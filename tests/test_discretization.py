@@ -203,6 +203,9 @@ class TestJacobian:
         BoundarySpec(top=Dirichlet(0.0), bottom=Dirichlet(0.0)),
         BoundarySpec(top=Robin(1.5, 0.2), bottom=Flux(0.02)),
         BoundarySpec(top=Flux(0.0), bottom=Dirichlet(0.4)),
+        BoundarySpec(top=Dirichlet(0.9), bottom=Robin(0.7, 0.3)),
+        BoundarySpec(top=Dirichlet(lambda t: 0.5 + 2.0 * t),
+                     bottom=Flux(lambda t: 0.01 * t)),
     ])
     def test_matches_finite_differences(self, bc):
         rng = np.random.default_rng(5)

@@ -39,7 +39,6 @@ from .model import (
     gravity_flux,
     gravity_flux_derivative,
     positive_part,
-    pressure_from_saturation,
 )
 from .scenarios import (
     PiecewiseLinearIC,
@@ -63,6 +62,6 @@ __all__ = [
     "example2", "example3", "extrema_series", "gravity_flux",
     "gravity_flux_derivative", "ic_from_breakpoints", "instability_metrics",
     "integrate", "mass_balance_audit", "mass_integral", "mass_series",
-    "newton_step", "no_flux", "positive_part", "pressure_from_saturation",
-    "rhs", "sandy_loam_sbar",
+    "newton_step", "no_flux", "positive_part", "rhs",
+    "sandy_loam_sbar",
 ]

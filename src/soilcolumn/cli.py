@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import diagnostics, scenarios
-from .discretization import BoundarySpec, Dirichlet, Flux, Robin
+from .discretization import BoundarySpec, Dirichlet, Flux, Robin, no_flux
 from .model import Parameters
 from .timestepper import FAILED, SolverSettings, Trace, integrate
 
@@ -34,9 +34,21 @@ from .timestepper import FAILED, SolverSettings, Trace, integrate
 GAP_THRESHOLD = 0.1
 FRONT_THRESHOLD = 0.05
 
-_SET_KEYS = ("kappa", "s_bar", "alpha_g2", "gamma", "h", "d", "t_end")
+# Config key of each Parameters field, with the field's value per unit of
+# the key's: alpha_g2 is 2*alpha_g and h the column depth.
+_PARAM_KEYS = {
+    "kappa": ("kappa", 1.0),
+    "alpha_g2": ("alpha_g", 0.5),
+    "s_bar": ("s_bar", 1.0),
+    "h": ("depth_h", 1.0),
+}
+_SET_KEYS = (*_PARAM_KEYS, "d", "t_end")
 _SOLVER_KEYS = ("rel_tol", "abs_tol", "dt_init", "dt_min", "dt_max",
                 "newton_tol", "newton_max_iter", "safety")
+_END_CONDITIONS = {"dirichlet": Dirichlet, "flux": Flux, "robin": Robin}
+# Parameters of an inline configuration, for the keys its params leave out.
+_INLINE_PARAMS = Parameters(kappa=0.005, alpha_g=0.5,
+                            s_bar=scenarios.sandy_loam_sbar(), depth_h=5.0)
 
 
 class ConfigError(ValueError):
@@ -55,40 +67,56 @@ def _check_keys(obj, allowed: tuple[str, ...], where: str):
         raise _fail(where, f"unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise _fail(where, f"not a number: {value!r}") from None
+
+
+def _numbers(obj, allowed: tuple[str, ...], where: str) -> dict:
+    """obj with its keys checked against allowed and every value a float."""
+    _check_keys(obj, allowed, where)
+    return {key: _number(value, f"{where}: {key}") for key, value in obj.items()}
+
+
+def _with_keys(params: Parameters, numbers: dict, where: str) -> Parameters:
+    """params with the field of every key-table key in numbers replaced."""
+    updates = {field: scale * numbers[key]
+               for key, (field, scale) in _PARAM_KEYS.items() if key in numbers}
+    try:
+        return dataclasses.replace(params, **updates)
+    except ValueError as exc:
+        raise _fail(where, str(exc)) from None
+
+
 def _end_condition(obj, where: str):
     if not isinstance(obj, dict):
         raise _fail(where, "boundary condition must be an object")
-    _check_keys(obj, ("type", "value", "beta", "s_out"), where)
     kind = obj.get("type")
+    cls = _END_CONDITIONS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise _fail(where, f"type must be dirichlet, flux or robin, got {kind!r}")
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    numbers = _numbers({k: v for k, v in obj.items() if k != "type"}, names, where)
+    missing = [name for name in names if name not in numbers]
+    if missing:
+        raise _fail(where, f"missing keys {missing} for type {kind!r}")
     try:
-        if kind == "dirichlet":
-            return Dirichlet(float(obj["value"]))
-        if kind == "flux":
-            return Flux(float(obj["value"]))
-        if kind == "robin":
-            return Robin(beta=float(obj["beta"]), s_out=float(obj["s_out"]))
-    except KeyError as exc:
-        raise _fail(where, f"missing key {exc} for type {kind!r}") from None
-    except (TypeError, ValueError) as exc:
+        return cls(**numbers)
+    except ValueError as exc:
         raise _fail(where, str(exc)) from None
-    raise _fail(where, f"type must be dirichlet, flux or robin, got {kind!r}")
 
 
 def _end_condition_json(cond) -> dict:
-    if isinstance(cond, Dirichlet):
-        if callable(cond.value):
-            raise ConfigError("cannot serialise a time-dependent Dirichlet value")
-        return {"type": "dirichlet", "value": float(cond.value)}
-    if isinstance(cond, Flux):
-        if callable(cond.value):
-            raise ConfigError("cannot serialise a time-dependent Flux value")
-        return {"type": "flux", "value": float(cond.value)}
-    return {"type": "robin", "beta": cond.beta, "s_out": cond.s_out}
+    kind = {cls: name for name, cls in _END_CONDITIONS.items()}[type(cond)]
+    return {"type": kind, **{f.name: float(getattr(cond, f.name))
+                             for f in dataclasses.fields(cond)}}
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Everything needed to reproduce one run or sweep."""
+    """Everything needed to reproduce one run, or each member of a sweep."""
 
     scenario: Optional[str] = None
     params: Optional[dict] = None
@@ -100,9 +128,6 @@ class RunConfig:
     set_overrides: dict = dataclasses.field(default_factory=dict)
     solver: dict = dataclasses.field(default_factory=dict)
     out_dir: str = "out"
-    sweep_param: Optional[str] = None
-    sweep_values: Optional[list] = None
-    sweep_value_labels: Optional[list] = None
 
     def resolved_json(self) -> dict:
         doc: dict = {}
@@ -121,8 +146,6 @@ class RunConfig:
             doc["set"] = self.set_overrides
         if self.solver:
             doc["solver"] = self.solver
-        if self.sweep_param is not None:
-            doc["sweep"] = {"param": self.sweep_param, "values": self.sweep_values}
         return doc
 
 
@@ -138,7 +161,7 @@ def _config_from_file(path: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise _fail(path, "top level must be an object")
     _check_keys(doc, ("scenario", "params", "ic", "bc", "grid", "t_end",
-                      "output_times", "set", "solver", "sweep"), path)
+                      "output_times", "set", "solver"), path)
     cfg = RunConfig()
     cfg.scenario = doc.get("scenario")
     inline = [k for k in ("params", "ic", "bc", "grid") if k in doc]
@@ -147,19 +170,19 @@ def _config_from_file(path: str) -> RunConfig:
     if cfg.scenario is None and "ic" not in doc:
         raise _fail(path, "need either a scenario name or an inline ic")
     if "params" in doc:
-        _check_keys(doc["params"], ("kappa", "s_bar", "alpha_g2", "gamma", "h"),
-                    f"{path}: params")
-        cfg.params = doc["params"]
+        cfg.params = _numbers(doc["params"], tuple(_PARAM_KEYS), f"{path}: params")
     if "ic" in doc:
         cfg.ic = doc["ic"]
     if "bc" in doc:
         _check_keys(doc["bc"], ("top", "bottom"), f"{path}: bc")
         cfg.bc = doc["bc"]
     if "grid" in doc:
-        _check_keys(doc["grid"], ("d",), f"{path}: grid")
-        cfg.d = float(doc["grid"]["d"])
+        grid = _numbers(doc["grid"], ("d",), f"{path}: grid")
+        if "d" not in grid:
+            raise _fail(f"{path}: grid", "missing key 'd'")
+        cfg.d = grid["d"]
     if "t_end" in doc:
-        cfg.t_end = float(doc["t_end"])
+        cfg.t_end = _number(doc["t_end"], f"{path}: t_end")
     if "output_times" in doc:
         try:
             cfg.output_times = [float(t) for t in doc["output_times"]]
@@ -167,15 +190,10 @@ def _config_from_file(path: str) -> RunConfig:
             raise _fail(f"{path}: output_times",
                         f"not a list of numbers: {doc['output_times']!r}") from None
     if "set" in doc:
-        _check_keys(doc["set"], _SET_KEYS, f"{path}: set")
-        cfg.set_overrides = dict(doc["set"])
+        cfg.set_overrides = _numbers(doc["set"], _SET_KEYS, f"{path}: set")
     if "solver" in doc:
         _check_keys(doc["solver"], _SOLVER_KEYS, f"{path}: solver")
         cfg.solver = dict(doc["solver"])
-    if "sweep" in doc:
-        _check_keys(doc["sweep"], ("param", "values"), f"{path}: sweep")
-        cfg.sweep_param = doc["sweep"]["param"]
-        cfg.sweep_values = [float(v) for v in doc["sweep"]["values"]]
     return cfg
 
 
@@ -185,13 +203,8 @@ def _parse_set_overrides(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise _fail("--set", f"expected key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        if key not in _SET_KEYS:
-            raise _fail("--set", f"unknown key {key!r}; allowed: {list(_SET_KEYS)}")
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            raise _fail("--set", f"{key}: not a number: {value!r}") from None
-    return overrides
+        overrides[key] = value
+    return _numbers(overrides, _SET_KEYS, "--set")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -208,26 +221,20 @@ def _config_from_args(args) -> RunConfig:
     if args.t_end is not None:
         cfg.t_end = args.t_end
     if args.output_times is not None:
-        try:
-            cfg.output_times = [float(t) for t in args.output_times.split(",")]
-        except ValueError:
-            raise _fail("--output-times", f"not numbers: {args.output_times!r}") from None
+        cfg.output_times = [_number(t, "--output-times")
+                            for t in args.output_times.split(",")]
     if args.rel_tol is not None:
         cfg.solver["rel_tol"] = args.rel_tol
     cfg.out_dir = args.out
-    if getattr(args, "param", None) is not None:
-        cfg.sweep_param = args.param
-        if cfg.sweep_param not in ("kappa", "s_bar"):
-            raise _fail("--param", f"must be kappa or s_bar, got {cfg.sweep_param!r}")
-        labels = [v.strip() for v in args.values.split(",") if v.strip()]
-        if not labels:
-            raise _fail("--values", "need at least one value")
-        try:
-            cfg.sweep_values = [float(v) for v in labels]
-        except ValueError:
-            raise _fail("--values", f"not numbers: {args.values!r}") from None
-        cfg.sweep_value_labels = labels
     return cfg
+
+
+def _sweep_members(values: str) -> list[tuple[str, float]]:
+    """(label, value) of each comma-separated --values entry."""
+    labels = [v.strip() for v in values.split(",") if v.strip()]
+    if not labels:
+        raise _fail("--values", "need at least one value")
+    return [(label, _number(label, "--values")) for label in labels]
 
 
 def _build_problem(cfg: RunConfig):
@@ -238,53 +245,26 @@ def _build_problem(cfg: RunConfig):
         except ValueError as exc:
             raise _fail("scenario", str(exc)) from None
     else:
-        params_doc = dict(cfg.params or {})
-        try:
-            params = Parameters(
-                kappa=float(params_doc.get("kappa", 0.005)),
-                alpha_g=0.5 * float(params_doc.get("alpha_g2", 1.0)),
-                s_bar=float(params_doc.get("s_bar", scenarios.sandy_loam_sbar())),
-                gamma=float(params_doc.get("gamma", 1.0)),
-                depth_h=float(params_doc.get("h", 5.0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise _fail("params", str(exc)) from None
+        params = _with_keys(_INLINE_PARAMS, cfg.params or {}, "params")
         if cfg.t_end is None and "t_end" not in cfg.set_overrides:
             raise _fail("t_end", "required for inline configurations")
-        try:
-            ic = scenarios.ic_from_breakpoints(cfg.ic)
-        except (TypeError, ValueError) as exc:
-            raise _fail("ic", str(exc)) from None
         if cfg.bc is not None:
             bc = BoundarySpec(top=_end_condition(cfg.bc.get("top"), "bc.top"),
                               bottom=_end_condition(cfg.bc.get("bottom"), "bc.bottom"))
         else:
-            bc = BoundarySpec(top=Flux(0.0), bottom=Flux(0.0))
-        scenario = scenarios.Scenario(
-            name="custom", params=params, d=cfg.d if cfg.d is not None else 0.01,
-            ic=ic, bc=bc,
-            t_end=cfg.t_end if cfg.t_end is not None else 1.0,
-            output_times=tuple(cfg.output_times or ()),
-        )
+            bc = no_flux()
+        try:
+            scenario = scenarios.Scenario(
+                name="custom", params=params, d=cfg.d if cfg.d is not None else 0.01,
+                ic=scenarios.ic_from_breakpoints(cfg.ic), bc=bc,
+                t_end=cfg.t_end if cfg.t_end is not None else 1.0,
+                output_times=tuple(cfg.output_times or ()),
+            )
+        except (TypeError, ValueError) as exc:
+            raise _fail("ic", str(exc)) from None
 
     o = cfg.set_overrides
-    params = scenario.params
-    updates = {}
-    if "kappa" in o:
-        updates["kappa"] = o["kappa"]
-    if "s_bar" in o:
-        updates["s_bar"] = o["s_bar"]
-    if "alpha_g2" in o:
-        updates["alpha_g"] = 0.5 * o["alpha_g2"]
-    if "gamma" in o:
-        updates["gamma"] = o["gamma"]
-    if "h" in o:
-        updates["depth_h"] = o["h"]
-    if updates:
-        try:
-            params = dataclasses.replace(params, **updates)
-        except ValueError as exc:
-            raise _fail("set", str(exc)) from None
+    params = _with_keys(scenario.params, o, "set")
     d = o.get("d", scenario.d)
     # Precedence: --t-end / config file, then --set t_end, then the preset.
     t_end = cfg.t_end if cfg.t_end is not None else o.get("t_end", scenario.t_end)
@@ -314,13 +294,8 @@ def _build_problem(cfg: RunConfig):
     cfg.output_times = [float(t) for t in scenario.output_times]
     if cfg.scenario is None:
         cfg.d = float(scenario.d)
-        cfg.params = {
-            "kappa": scenario.params.kappa,
-            "alpha_g2": 2.0 * scenario.params.alpha_g,
-            "s_bar": scenario.params.s_bar,
-            "gamma": scenario.params.gamma,
-            "h": scenario.params.depth_h,
-        }
+        cfg.params = {key: getattr(scenario.params, field) / scale
+                      for key, (field, scale) in _PARAM_KEYS.items()}
         cfg.bc = {"top": _end_condition_json(scenario.bc.top),
                   "bottom": _end_condition_json(scenario.bc.bottom)}
     return scenario
@@ -365,7 +340,6 @@ def _write_artifacts(out: Path, scenario, cfg: RunConfig, trace: Trace) -> dict:
     s_min, s_max = diagnostics.extrema_series(trace)
     _write_csv(out / "extrema.csv", "t,s_min,s_max",
                zip(trace.times, s_min, s_max))
-    trace.diagnostics.update(mass=mass, drift=drift, s_min=s_min, s_max=s_max)
 
     events = []
     specs = [
@@ -421,22 +395,18 @@ def run(cfg: RunConfig) -> int:
     return code
 
 
-def sweep(cfg: RunConfig) -> int:
-    """One run per sweep value in its own subdirectory, plus a summary."""
-    if cfg.sweep_param is None or not cfg.sweep_values:
-        raise _fail("sweep", "sweep needs --param and --values")
+def sweep(cfg: RunConfig, param: str, members: list[tuple[str, float]]) -> int:
+    """One run per (label, value) of param in its own subdirectory, plus a summary."""
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    labels = cfg.sweep_value_labels or [repr(v) for v in cfg.sweep_values]
     header = ("value,status,exit,final_mass,final_drift,undershoot,overshoot,"
               "zigzag,t_max_below_sbar,t_gap_below,front_depth")
     lines = []
     any_success = False
-    for label, value in zip(labels, cfg.sweep_values):
+    for label, value in members:
         member = dataclasses.replace(
-            cfg, sweep_param=None, sweep_values=None, sweep_value_labels=None,
-            set_overrides={**cfg.set_overrides, cfg.sweep_param: value})
-        sub = out_root / f"{cfg.sweep_param}={label}"
+            cfg, set_overrides={**cfg.set_overrides, param: value})
+        sub = out_root / f"{param}={label}"
         code, summary = _execute(member, sub)
         any_success = any_success or code == 0
         events = {e["kind"]: e for e in summary["events"]}
@@ -488,7 +458,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         if args.command == "sweep":
-            return sweep(cfg)
+            return sweep(cfg, args.param, _sweep_members(args.values))
         return run(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -9,8 +9,9 @@ carries the total flux
 with the gravity term evaluated at the cell above the face: the
 transport part of the equation has non-positive wave speeds, and taking
 the upper cell is the exact Godunov choice, which keeps the scheme
-monotone. The semi-discrete update of a cell is the flux difference of
-its two faces divided by the cell width, so the discrete column mass
+monotone. A positive flux enters the cell below the face and leaves the
+cell above it. The semi-discrete update of a cell is the flux difference
+of its two faces divided by the cell width, so the discrete column mass
 dz * sum(s) changes only through the two boundary faces.
 """
 
@@ -71,33 +72,44 @@ class State:
 TimeFn = Callable[[float], float]
 
 
-def _as_time_fn(value: Union[float, TimeFn]) -> TimeFn:
-    if callable(value):
-        return value
-    v = float(value)
-    return lambda t: v
+class _Prescribed:
+    """Base of the end conditions whose value is a constant or a function
+    of time; a constant must be finite."""
 
+    def __post_init__(self):
+        if not callable(self.value) and not math.isfinite(self.value):
+            raise ValueError(
+                f"{type(self).__name__} value must be finite, got {self.value}")
 
-def _check_constant(value: Union[float, TimeFn], what: str) -> None:
-    if not callable(value) and not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value}")
+    def value_at(self, t: float) -> float:
+        return self.value(t) if callable(self.value) else float(self.value)
 
 
 @dataclass(frozen=True)
-class Dirichlet:
-    """Prescribed boundary saturation, a constant or a function of time."""
+class Dirichlet(_Prescribed):
+    """Prescribed boundary saturation, a constant or a function of time.
+
+    The boundary face sees a reflected ghost cell, 2*value - s_cell, so
+    that the face average of ghost and cell is the prescribed value; the
+    face flux is then the interior flux law against the ghost. Ghost
+    values are numerical auxiliaries and may fall outside [0, 1].
+    """
 
     value: Union[float, TimeFn]
 
-    def __post_init__(self):
-        _check_constant(self.value, "Dirichlet value")
-
-    def value_at(self, t: float) -> float:
-        return _as_time_fn(self.value)(t)
+    def flux_and_slope(self, end: str, s_cell: float, t: float, dz: float,
+                       p: Parameters) -> tuple[float, float]:
+        ghost = 2.0 * self.value_at(t) - s_cell
+        # The ghost moves opposite to the cell, d(ghost)/d(s_cell) = -1.
+        if end == TOP:
+            return (p.kappa * (ghost - s_cell) / dz + gravity_flux(ghost, p),
+                    -2.0 * p.kappa / dz - gravity_flux_derivative(ghost, p))
+        return (p.kappa * (s_cell - ghost) / dz + gravity_flux(s_cell, p),
+                2.0 * p.kappa / dz + gravity_flux_derivative(s_cell, p))
 
 
 @dataclass(frozen=True)
-class Flux:
+class Flux(_Prescribed):
     """Prescribed total mass flux through a column end.
 
     The value is the flux law kappa*s_z + alpha_g*((s-s_bar)+)^2 itself,
@@ -107,16 +119,18 @@ class Flux:
 
     value: Union[float, TimeFn]
 
-    def __post_init__(self):
-        _check_constant(self.value, "Flux value")
-
-    def value_at(self, t: float) -> float:
-        return _as_time_fn(self.value)(t)
+    def flux_and_slope(self, end: str, s_cell: float, t: float, dz: float,
+                       p: Parameters) -> tuple[float, float]:
+        return self.value_at(t), 0.0
 
 
 @dataclass(frozen=True)
 class Robin:
-    """Boundary flux proportional to the inner/outer saturation difference."""
+    """Boundary flux proportional to the inner/outer saturation difference.
+
+    The inner saturation is the boundary cell's (first-order, consistent
+    with the scheme); a wetter inside leaks out through either end.
+    """
 
     beta: float
     s_out: float
@@ -127,7 +141,15 @@ class Robin:
         if not 0.0 <= self.s_out <= 1.0:
             raise ValueError(f"Robin s_out must be in [0, 1], got {self.s_out}")
 
+    def flux_and_slope(self, end: str, s_cell: float, t: float, dz: float,
+                       p: Parameters) -> tuple[float, float]:
+        beta = -self.beta if end == TOP else self.beta
+        return beta * (s_cell - self.s_out), beta
 
+
+# Every end condition answers flux_and_slope(end, s_cell, t, dz, p) with
+# the total flux through the boundary face of `end` (TOP or BOTTOM) and
+# its derivative with respect to the boundary cell saturation s_cell.
 EndCondition = Union[Dirichlet, Flux, Robin]
 
 
@@ -144,46 +166,6 @@ def no_flux() -> BoundarySpec:
     return BoundarySpec(top=Flux(0.0), bottom=Flux(0.0))
 
 
-def interior_face_flux(s_lower: float, s_upper: float, dz: float, p: Parameters):
-    """Total flux through a face between two cells.
-
-    Diffusion uses the centered difference across the face; the gravity
-    term is upwinded from the cell with larger z. A positive flux enters
-    the cell below the face and leaves the cell above it.
-    """
-    return p.kappa * (s_upper - s_lower) / dz + gravity_flux(s_upper, p)
-
-
-def ghost_value(dirichlet_value: float, boundary_cell_s: float) -> float:
-    """Reflected ghost saturation for a Dirichlet end.
-
-    Linear extrapolation through the boundary: the average of the ghost
-    and the boundary cell equals the prescribed value, so the boundary
-    face flux can be formed with interior_face_flux against the ghost.
-    Ghost values are numerical auxiliaries and may fall outside [0, 1].
-    """
-    return 2.0 * dirichlet_value - boundary_cell_s
-
-
-def boundary_flux(end: str, spec: EndCondition, boundary_cell_s: float, t: float,
-                  p: Parameters) -> float:
-    """Flux through a column end for Flux and Robin conditions.
-
-    Robin evaluates the inner saturation at the boundary cell center
-    (first-order, consistent with the scheme). Dirichlet ends are
-    handled by the ghost construction, not here.
-    """
-    if isinstance(spec, Flux):
-        return spec.value_at(t)
-    if isinstance(spec, Robin):
-        if end == TOP:
-            return -spec.beta * (boundary_cell_s - spec.s_out)
-        if end == BOTTOM:
-            return spec.beta * (boundary_cell_s - spec.s_out)
-        raise ValueError(f"unknown end {end!r}")
-    raise TypeError("Dirichlet ends have no flux form; use ghost_value")
-
-
 def face_fluxes(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> np.ndarray:
     """All n_cells+1 face fluxes, bottom end first.
 
@@ -196,40 +178,14 @@ def face_fluxes(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> np
     n = grid.n_cells
     flux = np.empty(n + 1)
     flux[1:n] = p.kappa * (s[1:] - s[:-1]) / dz + gravity_flux(s[1:], p)
-
-    bottom = bc.bottom
-    if isinstance(bottom, Dirichlet):
-        ghost = ghost_value(bottom.value_at(t), s[0])
-        flux[0] = interior_face_flux(ghost, s[0], dz, p)
-    else:
-        flux[0] = boundary_flux(BOTTOM, bottom, s[0], t, p)
-
-    top = bc.top
-    if isinstance(top, Dirichlet):
-        ghost = ghost_value(top.value_at(t), s[n - 1])
-        flux[n] = interior_face_flux(s[n - 1], ghost, dz, p)
-    else:
-        flux[n] = boundary_flux(TOP, top, s[n - 1], t, p)
+    flux[0] = bc.bottom.flux_and_slope(BOTTOM, s[0], t, dz, p)[0]
+    flux[n] = bc.top.flux_and_slope(TOP, s[n - 1], t, dz, p)[0]
     return flux
 
 
 def rhs(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> np.ndarray:
     """Semi-discrete time derivative, ds_i/dt = (F_above - F_below) / dz."""
     return np.diff(face_fluxes(state, grid, p, bc)) / grid.dz
-
-
-def _boundary_face_slope(end: str, spec: EndCondition, s_cell: float, t: float,
-                         dz: float, p: Parameters) -> float:
-    """d(boundary face flux)/d(boundary cell saturation)."""
-    if isinstance(spec, Flux):
-        return 0.0
-    if isinstance(spec, Robin):
-        return -spec.beta if end == TOP else spec.beta
-    # Dirichlet: the ghost moves opposite to the cell, d(ghost)/d(s) = -1.
-    if end == TOP:
-        ghost = ghost_value(spec.value_at(t), s_cell)
-        return -2.0 * p.kappa / dz - gravity_flux_derivative(ghost, p)
-    return 2.0 * p.kappa / dz + gravity_flux_derivative(s_cell, p)
 
 
 def jacobian(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> Tridiagonal:
@@ -254,7 +210,7 @@ def jacobian(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> Tridi
 
     # Boundary rows: drop the missing outer coupling, add the BC slope.
     diag[0] += kdz2 + gp[0] / dz
-    diag[0] -= _boundary_face_slope(BOTTOM, bc.bottom, s[0], t, dz, p) / dz
+    diag[0] -= bc.bottom.flux_and_slope(BOTTOM, s[0], t, dz, p)[1] / dz
     diag[n - 1] += kdz2
-    diag[n - 1] += _boundary_face_slope(TOP, bc.top, s[n - 1], t, dz, p) / dz
+    diag[n - 1] += bc.top.flux_and_slope(TOP, s[n - 1], t, dz, p)[1] / dz
     return Tridiagonal(lower=lower, diag=diag, upper=upper)

@@ -21,7 +21,9 @@ class Parameters:
     """Constants of the saturation equation.
 
     kappa
-        Capillary diffusion coefficient, finite and >= 0.
+        Capillary diffusion coefficient, finite and >= 0. It enters the
+        flux law as given: the slope of a linear capillary pressure law
+        is folded into it, so the model needs no pressure variable.
     alpha_g
         Product of the solid-liquid friction time constant and gravity.
         Only the combination 2*alpha_g enters the model, so the factors
@@ -29,10 +31,6 @@ class Parameters:
     s_bar
         Residual saturation below which gravitational transport is
         inactive, in [0, 1).
-    gamma
-        Slope of the linear pressure law s = gamma * p, finite and > 0.
-        Note that kappa is used as given in the flux law: with gamma != 1
-        it is the caller's job to fold any 1/gamma rescaling into kappa.
     depth_h
         Column depth, finite and > 0; the domain is (-depth_h, 0).
     """
@@ -40,7 +38,6 @@ class Parameters:
     kappa: float
     alpha_g: float
     s_bar: float
-    gamma: float = 1.0
     depth_h: float = 5.0
 
     def __post_init__(self):
@@ -50,8 +47,6 @@ class Parameters:
             raise ValueError(f"alpha_g must be finite and >= 0, got {self.alpha_g}")
         if not 0.0 <= self.s_bar < 1.0:
             raise ValueError(f"s_bar must be in [0, 1), got {self.s_bar}")
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 < self.depth_h < math.inf:
             raise ValueError(f"depth_h must be finite and > 0, got {self.depth_h}")
 
@@ -76,8 +71,3 @@ def gravity_flux_derivative(s, p: Parameters):
     Continuous across s = s_bar, where both one-sided derivatives are zero.
     """
     return 2.0 * p.alpha_g * positive_part(s - p.s_bar)
-
-
-def pressure_from_saturation(s, p: Parameters):
-    """Capillary pressure from the linear law s = gamma * p."""
-    return s / p.gamma

@@ -96,7 +96,7 @@ class Scenario:
         return State(time=0.0, s=np.asarray(self.ic(grid.centers), dtype=float))
 
 
-_EXAMPLE_PARAMS = dict(kappa=0.005, alpha_g=0.5, gamma=1.0, depth_h=5.0)
+_EXAMPLE_PARAMS = dict(kappa=0.005, alpha_g=0.5, depth_h=5.0)
 
 
 def example1() -> Scenario:
@@ -133,8 +133,7 @@ def example3(kappa: float = 0.005, s_bar: Optional[float] = None) -> Scenario:
     """
     if s_bar is None:
         s_bar = sandy_loam_sbar()
-    params = Parameters(kappa=kappa, alpha_g=0.5, s_bar=s_bar, gamma=1.0,
-                        depth_h=5.0)
+    params = Parameters(kappa=kappa, alpha_g=0.5, s_bar=s_bar, depth_h=5.0)
     return Scenario(
         name="example3",
         params=params,
@@ -157,7 +156,7 @@ def by_name(name: str) -> Scenario:
     """Look up a preset scenario by its stable identifier."""
     try:
         factory = SCENARIOS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}") from None
     return factory()

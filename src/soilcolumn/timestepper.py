@@ -27,7 +27,7 @@ with the last accepted state and time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,8 +89,7 @@ class Trace:
     profiles[k] is the saturation vector at times[k]; row 0 is the
     initial condition. The step_* arrays describe the accepted step that
     produced row k+1. Output times requested from integrate() appear
-    exactly (the controller trims steps to land on them). diagnostics is
-    a scratch dict that downstream analysis may fill with named series.
+    exactly (the controller trims steps to land on them).
     """
 
     times: np.ndarray
@@ -101,7 +100,6 @@ class Trace:
     status: str = COMPLETED
     failure_time: Optional[float] = None
     failure_reason: Optional[str] = None
-    diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.times.size

@@ -99,12 +99,12 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
             depth = min(depth, _dominant_depth(rho))
         for _ in range(depth):
             alpha = a[1::2] / b[:-1:2]
-            gamma = c[1::2] / b[2::2]
+            beta = c[1::2] / b[2::2]
             a, b, c, d = (
                 alpha * a[:-1:2],
-                b[1::2] - alpha * c[:-1:2] - gamma * a[2::2],
-                gamma * c[2::2],
-                d[1::2] + alpha * d[:-1:2] + gamma * d[2::2],
+                b[1::2] - alpha * c[:-1:2] - beta * a[2::2],
+                beta * c[2::2],
+                d[1::2] + alpha * d[:-1:2] + beta * d[2::2],
             )
             levels.append((a, b, c, d))
         # x[r + 1] is the unknown of row r, between two zero borders. Row

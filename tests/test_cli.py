@@ -141,6 +141,7 @@ class TestConfigErrors:
         ["--t-end", "inf"],
         ["--set", "t_end=nan"],
         ["--set", "kappa=inf"],
+        ["--set", "gamma=1"],
         ["--set", "d=inf"],
         ["--t-end", "0.001", "--output-times", "nan,7"],
         ["--t-end", "0.001", "--output-times=-0.0005,0.001"],
@@ -160,12 +161,36 @@ class TestConfigErrors:
         {"output_times": [0.2]},
         {"output_times": [float("nan")]},
         {"output_times": ["soon"]},
+        {"ic": [[-10.0, 0.1]]},
+        {"t_end": "abc"},
+        {"grid": {}},
+        {"set": {"kappa": "abc"}},
+        {"bc": {"top": {"type": ["flux"], "value": 0.0},
+                "bottom": {"type": "flux", "value": 0.0}}},
+        {"bc": {"top": {"type": "flux"},
+                "bottom": {"type": "flux", "value": 0.0}}},
+        {"params": {"gamma": 1.0}},
+        {"sweep": {"param": "kappa", "values": [0.01]}},
     ])
     def test_inline_config_rejected_before_solving(self, tmp_path, capsys,
                                                    no_solver, doc):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
             {"ic": [[-1.0, 0.1]], "t_end": 0.1, **doc}))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"set": {"d": "x"}},
+        {"set": {"gamma": 1.0}},
+        {"set": {"t_end": None}},
+        {"scenario": ["example3"]},
+    ])
+    def test_scenario_config_rejected_before_solving(self, tmp_path, capsys,
+                                                     no_solver, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": "example3", **doc}))
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
@@ -212,7 +237,6 @@ class TestSweep:
         cfg = {
             "scenario": "example3",
             "t_end": 0.5,
-            "sweep": {"param": "kappa", "values": [0.01, 0.0]},
             "solver": {"rel_tol": 1e-13, "abs_tol": 1e-15, "dt_init": 1e-4,
                        "dt_min": 5e-5},
         }

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from soilcolumn.discretization import (
-    BOTTOM, TOP, BoundarySpec, Dirichlet, Flux, Robin, State,
-    boundary_flux, build_grid, face_fluxes, ghost_value, interior_face_flux,
-    jacobian, no_flux, rhs)
+    BOTTOM, TOP, BoundarySpec, Dirichlet, Flux, Robin, State, build_grid,
+    face_fluxes, jacobian, no_flux, rhs)
 from soilcolumn.model import Parameters
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
@@ -44,6 +43,21 @@ class TestBuildGrid:
             build_grid(h, d)
 
 
+def interior_face_flux(s_lower, s_upper, dz, p):
+    """Flux through the face between the two cells of a two-cell column."""
+    state = State(0.0, np.array([s_lower, s_upper]))
+    return face_fluxes(state, build_grid(2.0 * dz, dz), p, no_flux())[1]
+
+
+def ghost_value(dirichlet_value, boundary_cell_s):
+    """The ghost cell a Dirichlet top face sees: under pure unit
+    diffusion across a unit cell its face flux is ghost - cell."""
+    p = Parameters(kappa=1.0, alpha_g=0.0, s_bar=0.0)
+    flux, _ = Dirichlet(dirichlet_value).flux_and_slope(
+        TOP, boundary_cell_s, 0.0, 1.0, p)
+    return boundary_cell_s + flux
+
+
 class TestFaceFlux:
     def test_uniform_below_threshold_is_zero(self):
         for c in (0.0, 0.1, 0.2303):
@@ -79,27 +93,27 @@ class TestBoundaryFlux:
     def test_zero_flux_at_all_times(self):
         spec = Flux(0.0)
         for t in (0.0, 1.0, 1e3):
-            assert boundary_flux(TOP, spec, 0.9, t, SANDY) == 0.0
-            assert boundary_flux(BOTTOM, spec, 0.9, t, SANDY) == 0.0
+            assert spec.flux_and_slope(TOP, 0.9, t, 0.01, SANDY) == (0.0, 0.0)
+            assert spec.flux_and_slope(BOTTOM, 0.9, t, 0.01, SANDY) == (0.0, 0.0)
 
     def test_time_dependent_flux(self):
         spec = Flux(lambda t: 0.1 * t)
-        assert boundary_flux(TOP, spec, 0.5, 2.0, SANDY) == pytest.approx(0.2)
+        flux, _ = spec.flux_and_slope(TOP, 0.5, 2.0, 0.01, SANDY)
+        assert flux == pytest.approx(0.2)
 
     def test_robin_equilibrium(self):
-        assert boundary_flux(TOP, Robin(1.0, 0.5), 0.5, 0.0, SANDY) == 0.0
+        assert Robin(1.0, 0.5).flux_and_slope(TOP, 0.5, 0.0, 0.01, SANDY)[0] == 0.0
 
     def test_robin_bottom(self):
-        got = boundary_flux(BOTTOM, Robin(2.0, 0.1), 0.4, 0.0, SANDY)
-        assert got == pytest.approx(0.6, rel=1e-12)
+        flux, slope = Robin(2.0, 0.1).flux_and_slope(BOTTOM, 0.4, 0.0, 0.01, SANDY)
+        assert flux == pytest.approx(0.6, rel=1e-12)
+        assert slope == 2.0
 
     def test_robin_top_sign(self):
         # wetter inside than outside leaks out of the top
-        assert boundary_flux(TOP, Robin(2.0, 0.1), 0.4, 0.0, SANDY) < 0.0
-
-    def test_dirichlet_rejected(self):
-        with pytest.raises(TypeError):
-            boundary_flux(TOP, Dirichlet(0.0), 0.4, 0.0, SANDY)
+        flux, slope = Robin(2.0, 0.1).flux_and_slope(TOP, 0.4, 0.0, 0.01, SANDY)
+        assert flux < 0.0
+        assert slope == -2.0
 
     @pytest.mark.parametrize("beta,s_out", [(0.0, 0.5), (-1.0, 0.5),
                                             (1.0, -0.1), (1.0, 1.1),

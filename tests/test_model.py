@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from soilcolumn.model import (
-    Parameters, gravity_flux, gravity_flux_derivative, positive_part,
-    pressure_from_saturation)
+    Parameters, gravity_flux, gravity_flux_derivative, positive_part)
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 
@@ -15,12 +14,10 @@ SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
     dict(kappa=0.005, alpha_g=-0.1, s_bar=0.2),
     dict(kappa=0.005, alpha_g=0.5, s_bar=-0.01),
     dict(kappa=0.005, alpha_g=0.5, s_bar=1.0),
-    dict(kappa=0.005, alpha_g=0.5, s_bar=0.2, gamma=0.0),
     dict(kappa=0.005, alpha_g=0.5, s_bar=0.2, depth_h=0.0),
     dict(kappa=float("inf"), alpha_g=0.5, s_bar=0.2),
     dict(kappa=float("nan"), alpha_g=0.5, s_bar=0.2),
     dict(kappa=0.005, alpha_g=float("inf"), s_bar=0.2),
-    dict(kappa=0.005, alpha_g=0.5, s_bar=0.2, gamma=float("inf")),
     dict(kappa=0.005, alpha_g=0.5, s_bar=0.2, depth_h=float("inf")),
 ])
 def test_parameters_validation(kwargs):
@@ -81,8 +78,3 @@ def test_gravity_flux_continuous_at_threshold():
     assert abs(gravity_flux_derivative(above, SANDY)
                - gravity_flux_derivative(below, SANDY)) < 1e-8
 
-
-def test_pressure_from_saturation():
-    assert pressure_from_saturation(0.5, Parameters(0.005, 0.5, 0.2, gamma=1.0)) == 0.5
-    assert pressure_from_saturation(0.0, Parameters(0.005, 0.5, 0.2, gamma=3.7)) == 0.0
-    assert pressure_from_saturation(0.8, Parameters(0.005, 0.5, 0.2, gamma=2.0)) == 0.4

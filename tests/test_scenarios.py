@@ -22,7 +22,6 @@ class TestExample1:
         assert scn.params.kappa == 0.005
         assert 2.0 * scn.params.alpha_g == 1.0
         assert abs(scn.params.s_bar - 0.2303) < 1e-4
-        assert scn.params.gamma == 1.0
         assert scn.params.depth_h == 5.0
         assert scn.d == 0.01
         assert scn.t_end == 2500.0

@@ -9,6 +9,13 @@ A run produces plot-ready CSV/JSON files in its output directory:
     config.json    the resolved configuration; feeding it back through
                    --config reproduces the run bit for bit
 
+A run is configured by one JSON document, the --config file or
+{"scenario": NAME}, with the command-line values laid over it: a
+command-line value always replaces the file's. _resolve checks every key
+and number of that document once, then builds the run's Scenario,
+SolverSettings and config.json echo. A sweep resolves it once per
+member, with the swept value added to set, before the first solve.
+
 Exit status: 0 success, 1 configuration error, 2 solver failure (the
 artifacts up to the failure time are still written).
 """
@@ -42,13 +49,16 @@ _PARAM_KEYS = {
     "s_bar": ("s_bar", 1.0),
     "h": ("depth_h", 1.0),
 }
-_SET_KEYS = (*_PARAM_KEYS, "d", "t_end")
+_SET_KEYS = (*_PARAM_KEYS, "d")
 _SOLVER_KEYS = ("rel_tol", "abs_tol", "dt_init", "dt_min", "dt_max",
                 "newton_tol", "newton_max_iter", "safety")
+_TOP_KEYS = ("scenario", "params", "ic", "bc", "grid", "t_end",
+             "output_times", "set", "solver")
 _END_CONDITIONS = {"dirichlet": Dirichlet, "flux": Flux, "robin": Robin}
-# Parameters of an inline configuration, for the keys its params leave out.
-_INLINE_PARAMS = Parameters(kappa=0.005, alpha_g=0.5,
-                            s_bar=scenarios.sandy_loam_sbar(), depth_h=5.0)
+# Parameters fields of an inline configuration, for the keys its params
+# leave out.
+_INLINE_PARAMS = dict(kappa=0.005, alpha_g=0.5,
+                      s_bar=scenarios.sandy_loam_sbar(), depth_h=5.0)
 
 
 class ConfigError(ValueError):
@@ -59,53 +69,52 @@ def _fail(where: str, message: str) -> "ConfigError":
     return ConfigError(f"{where}: {message}")
 
 
-def _check_keys(obj, allowed: tuple[str, ...], where: str):
+def _check_keys(obj, allowed: tuple[str, ...], where: str) -> dict:
     if not isinstance(obj, dict):
         raise _fail(where, f"expected an object with keys {sorted(allowed)}")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise _fail(where, f"unknown keys {unknown}; allowed: {sorted(allowed)}")
+    return obj
 
 
 def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise _fail(where, f"not a number: {value!r}") from None
+    """value as a float. Numeric strings, the command line's values, pass;
+    JSON booleans do not."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise _fail(where, f"not a number: {value!r}")
 
 
 def _numbers(obj, allowed: tuple[str, ...], where: str) -> dict:
     """obj with its keys checked against allowed and every value a float."""
     _check_keys(obj, allowed, where)
-    return {key: _number(value, f"{where}: {key}") for key, value in obj.items()}
+    return {key: _number(value, f"{where}.{key}") for key, value in obj.items()}
 
 
-def _with_keys(params: Parameters, numbers: dict, where: str) -> Parameters:
-    """params with the field of every key-table key in numbers replaced."""
-    updates = {field: scale * numbers[key]
-               for key, (field, scale) in _PARAM_KEYS.items() if key in numbers}
+def _built(make, where: str, **kwargs):
+    """make(**kwargs), with the ValueError or TypeError it raises reported
+    as a configuration error."""
     try:
-        return dataclasses.replace(params, **updates)
-    except ValueError as exc:
+        return make(**kwargs)
+    except (TypeError, ValueError) as exc:
         raise _fail(where, str(exc)) from None
 
 
 def _end_condition(obj, where: str):
-    if not isinstance(obj, dict):
-        raise _fail(where, "boundary condition must be an object")
-    kind = obj.get("type")
+    kind = obj.get("type") if isinstance(obj, dict) else None
     cls = _END_CONDITIONS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise _fail(where, f"type must be dirichlet, flux or robin, got {kind!r}")
+        raise _fail(where, f"need type dirichlet, flux or robin, got {obj!r}")
     names = tuple(f.name for f in dataclasses.fields(cls))
     numbers = _numbers({k: v for k, v in obj.items() if k != "type"}, names, where)
     missing = [name for name in names if name not in numbers]
     if missing:
         raise _fail(where, f"missing keys {missing} for type {kind!r}")
-    try:
-        return cls(**numbers)
-    except ValueError as exc:
-        raise _fail(where, str(exc)) from None
+    return _built(cls, where, **numbers)
 
 
 def _end_condition_json(cond) -> dict:
@@ -114,201 +123,135 @@ def _end_condition_json(cond) -> dict:
                              for f in dataclasses.fields(cond)}}
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Everything needed to reproduce one run, or each member of a sweep."""
-
-    scenario: Optional[str] = None
-    params: Optional[dict] = None
-    ic: Optional[list] = None
-    bc: Optional[dict] = None
-    d: Optional[float] = None
-    t_end: Optional[float] = None
-    output_times: Optional[list] = None
-    set_overrides: dict = dataclasses.field(default_factory=dict)
-    solver: dict = dataclasses.field(default_factory=dict)
-    out_dir: str = "out"
-
-    def resolved_json(self) -> dict:
-        doc: dict = {}
-        if self.scenario is not None:
-            doc["scenario"] = self.scenario
-        else:
-            doc["params"] = self.params
-            doc["ic"] = self.ic
-            doc["bc"] = self.bc
-            doc["grid"] = {"d": self.d}
-        if self.t_end is not None:
-            doc["t_end"] = self.t_end
-        if self.output_times is not None:
-            doc["output_times"] = self.output_times
-        if self.set_overrides:
-            doc["set"] = self.set_overrides
-        if self.solver:
-            doc["solver"] = self.solver
-        return doc
+def _breakpoints(points) -> list[tuple[float, float]]:
+    """The [z, s] pairs of an inline ic, as numbers."""
+    if not isinstance(points, list) or not all(
+            isinstance(point, list) and len(point) == 2 for point in points):
+        raise _fail("ic", f"expected a list of [z, s] pairs, got {points!r}")
+    return [(_number(z, "ic"), _number(s, "ic")) for z, s in points]
 
 
-def _config_from_file(path: str) -> RunConfig:
+def _load(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _fail(path, str(exc)) from None
-    try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise _fail(path, f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (OSError, ValueError) as exc:
+        raise _fail(path, str(exc)) from None
     if not isinstance(doc, dict):
         raise _fail(path, "top level must be an object")
-    _check_keys(doc, ("scenario", "params", "ic", "bc", "grid", "t_end",
-                      "output_times", "set", "solver"), path)
-    cfg = RunConfig()
-    cfg.scenario = doc.get("scenario")
-    inline = [k for k in ("params", "ic", "bc", "grid") if k in doc]
-    if cfg.scenario is not None and inline:
-        raise _fail(path, f"scenario and inline fields {inline} are exclusive")
-    if cfg.scenario is None and "ic" not in doc:
-        raise _fail(path, "need either a scenario name or an inline ic")
-    if "params" in doc:
-        cfg.params = _numbers(doc["params"], tuple(_PARAM_KEYS), f"{path}: params")
-    if "ic" in doc:
-        cfg.ic = doc["ic"]
-    if "bc" in doc:
-        _check_keys(doc["bc"], ("top", "bottom"), f"{path}: bc")
-        cfg.bc = doc["bc"]
-    if "grid" in doc:
-        grid = _numbers(doc["grid"], ("d",), f"{path}: grid")
-        if "d" not in grid:
-            raise _fail(f"{path}: grid", "missing key 'd'")
-        cfg.d = grid["d"]
-    if "t_end" in doc:
-        cfg.t_end = _number(doc["t_end"], f"{path}: t_end")
-    if "output_times" in doc:
-        try:
-            cfg.output_times = [float(t) for t in doc["output_times"]]
-        except (TypeError, ValueError):
-            raise _fail(f"{path}: output_times",
-                        f"not a list of numbers: {doc['output_times']!r}") from None
-    if "set" in doc:
-        cfg.set_overrides = _numbers(doc["set"], _SET_KEYS, f"{path}: set")
-    if "solver" in doc:
-        _check_keys(doc["solver"], _SOLVER_KEYS, f"{path}: solver")
-        cfg.solver = dict(doc["solver"])
-    return cfg
+    return doc
 
 
-def _parse_set_overrides(pairs: list[str]) -> dict:
+def _laid_over(doc: dict, section: str, values: dict) -> dict:
+    """doc with values laid over its section, which must be an object."""
+    base = doc.get(section, {})
+    if not isinstance(base, dict):
+        raise _fail(section, f"expected an object, got {base!r}")
+    return {**doc, section: {**base, **values}}
+
+
+def _document(args) -> dict:
+    """The run's configuration document with the command-line values laid over it."""
+    if (args.config is None) == (args.scenario is None):
+        raise _fail("arguments", "need exactly one of --scenario and --config")
+    doc = _load(args.config) if args.config is not None else {"scenario": args.scenario}
     overrides = {}
-    for pair in pairs:
-        if "=" not in pair:
+    for pair in args.set or ():
+        key, eq, value = pair.partition("=")
+        if not eq:
             raise _fail("--set", f"expected key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
         overrides[key] = value
-    return _numbers(overrides, _SET_KEYS, "--set")
-
-
-def _config_from_args(args) -> RunConfig:
-    if args.config is not None:
-        if args.scenario is not None:
-            raise _fail("arguments", "--scenario and --config are exclusive")
-        cfg = _config_from_file(args.config)
-    elif args.scenario is not None:
-        cfg = RunConfig(scenario=args.scenario)
-    else:
-        raise _fail("arguments", "one of --scenario or --config is required")
-    overrides = _parse_set_overrides(args.set or [])
-    cfg.set_overrides.update(overrides)
-    if args.t_end is not None:
-        cfg.t_end = args.t_end
-    if args.output_times is not None:
-        cfg.output_times = [_number(t, "--output-times")
-                            for t in args.output_times.split(",")]
+    if overrides:
+        doc = _laid_over(doc, "set", overrides)
     if args.rel_tol is not None:
-        cfg.solver["rel_tol"] = args.rel_tol
-    cfg.out_dir = args.out
-    return cfg
+        doc = _laid_over(doc, "solver", {"rel_tol": args.rel_tol})
+    if args.t_end is not None:
+        doc["t_end"] = args.t_end
+    if args.output_times is not None:
+        doc["output_times"] = args.output_times.split(",")
+    return doc
 
 
-def _sweep_members(values: str) -> list[tuple[str, float]]:
-    """(label, value) of each comma-separated --values entry."""
-    labels = [v.strip() for v in values.split(",") if v.strip()]
-    if not labels:
-        raise _fail("--values", "need at least one value")
-    return [(label, _number(label, "--values")) for label in labels]
+def _resolve(doc: dict) -> tuple[scenarios.Scenario, SolverSettings, dict]:
+    """The Scenario and SolverSettings of a configuration document, and
+    the config.json echo of their values.
 
-
-def _build_problem(cfg: RunConfig):
-    """Scenario object for a config, with overrides applied."""
-    if cfg.scenario is not None:
-        try:
-            scenario = scenarios.by_name(cfg.scenario)
-        except ValueError as exc:
-            raise _fail("scenario", str(exc)) from None
+    Every key and number is checked here, once, against the values the
+    run will use: set replaces params, and the IC is checked against the
+    final column depth.
+    """
+    _check_keys(doc, _TOP_KEYS, "config")
+    name = doc.get("scenario")
+    if name is not None:
+        inline = [key for key in ("params", "ic", "bc", "grid") if key in doc]
+        if inline:
+            raise _fail("config", f"scenario and inline fields {inline} are exclusive")
+        base = _built(scenarios.by_name, "scenario", name=name)
+        fields, d, ic, bc = dataclasses.asdict(base.params), base.d, base.ic, base.bc
+        t_end, preset_times = base.t_end, base.output_times
+    elif "ic" not in doc or "t_end" not in doc:
+        raise _fail("config", "need a scenario name, or an inline ic and t_end")
     else:
-        params = _with_keys(_INLINE_PARAMS, cfg.params or {}, "params")
-        if cfg.t_end is None and "t_end" not in cfg.set_overrides:
-            raise _fail("t_end", "required for inline configurations")
-        if cfg.bc is not None:
-            bc = BoundarySpec(top=_end_condition(cfg.bc.get("top"), "bc.top"),
-                              bottom=_end_condition(cfg.bc.get("bottom"), "bc.bottom"))
-        else:
-            bc = no_flux()
-        try:
-            scenario = scenarios.Scenario(
-                name="custom", params=params, d=cfg.d if cfg.d is not None else 0.01,
-                ic=scenarios.ic_from_breakpoints(cfg.ic), bc=bc,
-                t_end=cfg.t_end if cfg.t_end is not None else 1.0,
-                output_times=tuple(cfg.output_times or ()),
-            )
-        except (TypeError, ValueError) as exc:
-            raise _fail("ic", str(exc)) from None
+        fields, d, preset_times = dict(_INLINE_PARAMS), 0.01, ()
+        ic = _built(scenarios.ic_from_breakpoints, "ic", points=_breakpoints(doc["ic"]))
+        bc = no_flux()
+        if "bc" in doc:
+            ends = _check_keys(doc["bc"], ("top", "bottom"), "bc")
+            bc = BoundarySpec(top=_end_condition(ends.get("top"), "bc.top"),
+                              bottom=_end_condition(ends.get("bottom"), "bc.bottom"))
+        if "grid" in doc:
+            d = _number(_check_keys(doc["grid"], ("d",), "grid").get("d"), "grid.d")
 
-    o = cfg.set_overrides
-    params = _with_keys(scenario.params, o, "set")
-    d = o.get("d", scenario.d)
-    # Precedence: --t-end / config file, then --set t_end, then the preset.
-    t_end = cfg.t_end if cfg.t_end is not None else o.get("t_end", scenario.t_end)
+    sets = _numbers(doc.get("set", {}), _SET_KEYS, "set")
+    numbers = {**_numbers(doc.get("params", {}), tuple(_PARAM_KEYS), "params"), **sets}
+    fields.update({field: scale * numbers[key]
+                   for key, (field, scale) in _PARAM_KEYS.items() if key in numbers})
+    params = _built(Parameters, "params", **fields)
+    d = sets.get("d", d)
+    if "t_end" in doc:
+        t_end = _number(doc["t_end"], "t_end")
     if not 0.0 <= t_end < math.inf:
         raise _fail("t_end", f"must be finite and >= 0, got {t_end}")
-    if cfg.output_times is not None:
-        bad = [t for t in cfg.output_times if not 0.0 <= t <= t_end]
+    if "output_times" in doc:
+        times = doc["output_times"]
+        if not isinstance(times, list):
+            raise _fail("output_times", f"not a list of numbers: {times!r}")
+        times = [_number(t, "output_times") for t in times]
+        bad = [t for t in times if not 0.0 <= t <= t_end]
         if bad:
             raise _fail("output_times", f"{bad} outside [0, t_end={t_end}]")
-        output_times = cfg.output_times
     else:
         # A preset's output times past a shortened t_end are dropped.
-        output_times = [t for t in scenario.output_times if t <= t_end]
-    output_times = tuple(sorted(set(output_times)))
-    if not output_times:
-        output_times = (t_end,)
-    try:
-        scenario = dataclasses.replace(
-            scenario, params=params, d=d, t_end=t_end, output_times=output_times)
-        scenario.build_grid()  # rejects a cell width outside (0, h]
-    except ValueError as exc:
-        raise _fail("config", str(exc)) from None
+        times = [t for t in preset_times if t <= t_end]
+    output_times = tuple(sorted(set(times))) or (t_end,)
+    scenario = _built(scenarios.Scenario, "config", name=name or "custom",
+                      params=params, d=d, ic=ic, bc=bc, t_end=t_end,
+                      output_times=output_times)
+    _built(scenario.build_grid, "grid")  # rejects a cell width outside (0, h]
 
-    # Backfill the config with the resolved values so the echoed
-    # config.json is explicit and reproduces the run on its own.
-    cfg.t_end = float(scenario.t_end)
-    cfg.output_times = [float(t) for t in scenario.output_times]
-    if cfg.scenario is None:
-        cfg.d = float(scenario.d)
-        cfg.params = {key: getattr(scenario.params, field) / scale
-                      for key, (field, scale) in _PARAM_KEYS.items()}
-        cfg.bc = {"top": _end_condition_json(scenario.bc.top),
-                  "bottom": _end_condition_json(scenario.bc.bottom)}
-    return scenario
+    solver = _numbers(doc.get("solver", {}), _SOLVER_KEYS, "solver")
+    iters = solver.get("newton_max_iter", SolverSettings.newton_max_iter)
+    if not float(iters).is_integer():
+        raise _fail("solver.newton_max_iter", f"not an integer: {iters}")
+    settings = _built(SolverSettings, "solver", **{**solver, "newton_max_iter": int(iters)})
 
-
-def _solver_settings(cfg: RunConfig) -> SolverSettings:
-    try:
-        doc = dict(cfg.solver)
-        if "newton_max_iter" in doc:
-            doc["newton_max_iter"] = int(doc["newton_max_iter"])
-        return SolverSettings(**doc)
-    except (TypeError, ValueError) as exc:
-        raise _fail("solver", str(exc)) from None
+    if name is not None:
+        echo = {"scenario": name}
+    else:
+        echo = {
+            "params": {key: getattr(params, field) / scale
+                       for key, (field, scale) in _PARAM_KEYS.items()},
+            "ic": [list(point) for point in ic.breakpoints],
+            "bc": {"top": _end_condition_json(bc.top),
+                   "bottom": _end_condition_json(bc.bottom)},
+            "grid": {"d": d},
+        }
+    echo.update(t_end=t_end, output_times=list(output_times))
+    if sets:
+        echo["set"] = sets
+    echo["solver"] = dataclasses.asdict(settings)
+    return scenario, settings, echo
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -318,7 +261,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _write_artifacts(out: Path, scenario, cfg: RunConfig, trace: Trace) -> dict:
+def _write_artifacts(out: Path, scenario, echo: dict, trace: Trace) -> dict:
     """Write the artifact set for one finished (or failed) run."""
     grid = scenario.build_grid()
     p = scenario.params
@@ -371,43 +314,30 @@ def _write_artifacts(out: Path, scenario, cfg: RunConfig, trace: Trace) -> dict:
         },
     }
     (out / "events.json").write_text(json.dumps(summary, indent=2) + "\n")
-    (out / "config.json").write_text(json.dumps(cfg.resolved_json(), indent=2) + "\n")
+    (out / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
     return summary
 
 
-def _execute(cfg: RunConfig, out: Path) -> tuple[int, dict]:
-    scenario = _build_problem(cfg)
-    settings = _solver_settings(cfg)
-    cfg.solver = dataclasses.asdict(settings)
+def _execute(resolved, out: Path) -> tuple[int, dict]:
+    scenario, settings, echo = resolved
     grid = scenario.build_grid()
     trace = integrate(scenario.initial_state(grid), scenario.t_end,
                       scenario.output_times, grid, scenario.params, scenario.bc,
                       settings)
-    summary = _write_artifacts(out, scenario, cfg, trace)
+    summary = _write_artifacts(out, scenario, echo, trace)
     return (2 if trace.status == FAILED else 0), summary
 
 
-def run(cfg: RunConfig) -> int:
-    """Single simulation with artifacts; exit status per module contract."""
-    code, summary = _execute(cfg, Path(cfg.out_dir))
-    if code == 2:
-        print(f"solver failure: {summary['solver']['reason']}", file=sys.stderr)
-    return code
-
-
-def sweep(cfg: RunConfig, param: str, members: list[tuple[str, float]]) -> int:
-    """One run per (label, value) of param in its own subdirectory, plus a summary."""
-    out_root = Path(cfg.out_dir)
+def sweep(param: str, members: list, out_root: Path) -> int:
+    """One run per (label, resolved configuration) in its own subdirectory,
+    plus a summary."""
     out_root.mkdir(parents=True, exist_ok=True)
     header = ("value,status,exit,final_mass,final_drift,undershoot,overshoot,"
               "zigzag,t_max_below_sbar,t_gap_below,front_depth")
     lines = []
     any_success = False
-    for label, value in members:
-        member = dataclasses.replace(
-            cfg, set_overrides={**cfg.set_overrides, param: value})
-        sub = out_root / f"{param}={label}"
-        code, summary = _execute(member, sub)
+    for label, resolved in members:
+        code, summary = _execute(resolved, out_root / f"{param}={label}")
         any_success = any_success or code == 0
         events = {e["kind"]: e for e in summary["events"]}
 
@@ -423,9 +353,7 @@ def sweep(cfg: RunConfig, param: str, members: list[tuple[str, float]]) -> int:
             _event_time(diagnostics.MAXMIN_BELOW_GAP),
             front["value"] if front else "")))
     (out_root / "sweep_summary.csv").write_text(header + "\n" + "\n".join(lines) + "\n")
-    print(header)
-    for line in lines:
-        print(line)
+    print(header, *lines, sep="\n")
     return 0 if any_success else 2
 
 
@@ -456,10 +384,19 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        doc = _document(args)
         if args.command == "sweep":
-            return sweep(cfg, args.param, _sweep_members(args.values))
-        return run(cfg)
+            labels = [v.strip() for v in args.values.split(",") if v.strip()]
+            if not labels:
+                raise _fail("--values", "need at least one value")
+            # Every member is checked before the first one is solved.
+            members = [(label, _resolve(_laid_over(doc, "set", {args.param: label})))
+                       for label in labels]
+            return sweep(args.param, members, Path(args.out))
+        code, summary = _execute(_resolve(doc), Path(args.out))
+        if code == 2:
+            print(f"solver failure: {summary['solver']['reason']}", file=sys.stderr)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,10 @@
+import copy
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from soilcolumn.cli import main
 
@@ -73,6 +77,17 @@ class TestRun:
         for name in ("profiles.csv", "mass.csv", "events.json"):
             assert read(out / name) == read(again / name)
 
+    def test_ic_checked_against_final_depth(self, tmp_path):
+        # The IC reaches below the file's h=5 but within --set h=10.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"h": 5.0},
+                                    "ic": [[-8.0, 0.1], [0.0, 0.2]],
+                                    "t_end": 0.001}))
+        out = tmp_path / "deep"
+        assert main(["run", "--config", str(path), "--set", "h=10",
+                     "--out", str(out)]) == 0
+        assert json.loads(read(out / "config.json"))["params"]["h"] == 10.0
+
     def test_solver_failure_exits_2_and_reports(self, tmp_path, capsys):
         cfg = {
             "scenario": "example3",
@@ -139,7 +154,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("args", [
         ["--t-end", "inf"],
-        ["--set", "t_end=nan"],
+        ["--t-end", "nan"],
         ["--set", "kappa=inf"],
         ["--set", "gamma=1"],
         ["--set", "d=inf"],
@@ -171,6 +186,11 @@ class TestConfigErrors:
                 "bottom": {"type": "flux", "value": 0.0}}},
         {"params": {"gamma": 1.0}},
         {"sweep": {"param": "kappa", "values": [0.01]}},
+        {"set": {"kappa": True}},
+        {"params": {"h": True}},
+        {"t_end": True},
+        {"solver": {"rel_tol": True}},
+        {"solver": {"newton_max_iter": 2.7}},
     ])
     def test_inline_config_rejected_before_solving(self, tmp_path, capsys,
                                                    no_solver, doc):
@@ -184,8 +204,13 @@ class TestConfigErrors:
     @pytest.mark.parametrize("doc", [
         {"set": {"d": "x"}},
         {"set": {"gamma": 1.0}},
-        {"set": {"t_end": None}},
+        {"t_end": None},
         {"scenario": ["example3"]},
+        {"set": {"kappa": True}},
+        {"output_times": [True]},
+        {"solver": {"rel_tol": True}},
+        {"solver": {"newton_max_iter": 2.7}},
+        {"t_end": 0.002, "set": {"t_end": 0.001}},  # t_end is not a set key
     ])
     def test_scenario_config_rejected_before_solving(self, tmp_path, capsys,
                                                      no_solver, doc):
@@ -233,6 +258,15 @@ class TestSweep:
         assert main(["sweep", "--scenario", "example3", "--param", "kappa",
                      "--values", "a,b", "--out", str(tmp_path / "x")]) == 1
 
+    def test_every_member_checked_before_first_solve(self, tmp_path, capsys,
+                                                     no_solver):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--scenario", "example3", "--param", "s_bar",
+                     "--values", "0.1,5", "--out", str(out)])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_member_failures_do_not_abort_sweep(self, tmp_path):
         cfg = {
             "scenario": "example3",
@@ -251,3 +285,82 @@ class TestSweep:
         for sub in ("kappa=0.01", "kappa=0.0"):
             doc = json.loads(read(out / sub / "events.json"))
             assert doc["solver"]["status"] == "failed"
+
+
+# The config fuzz: documents with any top-level, params, set, grid, solver
+# or end-condition key set to an arbitrary JSON value must either be
+# rejected as a configuration error or reach the solver. Floats come from
+# a fixed set with no tiny positive value, because the cell count
+# round(h/d) has no bound yet: d=1e-15 raises MemoryError, and d=1e-9
+# would allocate about 5e9 cells before any check could refuse it.
+_TOP_PATHS = [(key,) for key in ("scenario", "params", "ic", "bc", "grid", "t_end",
+                                 "output_times", "set", "solver")]
+_SHARED_PATHS = [
+    *[("set", key) for key in ("kappa", "alpha_g2", "s_bar", "h", "d", "t_end")],
+    *[("solver", key) for key in ("rel_tol", "abs_tol", "dt_init", "dt_min",
+                                  "dt_max", "newton_tol", "newton_max_iter",
+                                  "safety")],
+]
+_INLINE_PATHS = [
+    *[("params", key) for key in ("kappa", "alpha_g2", "s_bar", "h", "d")],
+    ("grid", "d"),
+    *[("bc", end, key) for end in ("top", "bottom")
+      for key in ("type", "value", "beta", "s_out")],
+]
+# (base document, the key paths the fuzz may set in it)
+_FUZZ_CASES = [
+    ({"scenario": "example3", "t_end": 0.001}, _TOP_PATHS + _SHARED_PATHS),
+    ({"params": {"kappa": 0.005, "alpha_g2": 1.0, "s_bar": 0.2303, "h": 1.0},
+      "grid": {"d": 0.05}, "ic": [[-1.0, 0.8], [0.0, 0.2]],
+      "bc": {"top": {"type": "robin", "beta": 0.5, "s_out": 0.1},
+             "bottom": {"type": "dirichlet", "value": 0.0}},
+      "t_end": 0.001, "output_times": [0.001], "solver": {"rel_tol": 1e-5}},
+     _TOP_PATHS + _SHARED_PATHS + _INLINE_PATHS),
+]
+_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5,
+                           1e-300, 1e-3, 0.25, 0.5, 2.7, 1e300])
+_SCALARS = st.one_of(
+    _FLOATS, st.integers(-3, 30), st.none(), st.booleans(), st.just(10 ** 400),
+    st.sampled_from(["", "abc", "0.5", "nan", "example3", "flux", "robin"]))
+# Numbers are drawn more often than the rest, so that some documents
+# pass every check.
+_VALUES = st.one_of(
+    _FLOATS, st.integers(0, 30), _SCALARS, st.lists(_SCALARS, max_size=3),
+    st.lists(st.lists(_FLOATS, max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["d", "top", "type", "kappa"]), _SCALARS,
+                    max_size=2))
+
+
+@st.composite
+def _fuzz_documents(draw):
+    base, paths = draw(st.sampled_from(_FUZZ_CASES))
+    doc = copy.deepcopy(base)
+    for path, value in draw(st.lists(st.tuples(st.sampled_from(paths), _VALUES),
+                                     min_size=1, max_size=3)):
+        section = doc
+        for key in path[:-1]:
+            if not isinstance(section.get(key), dict):
+                section[key] = {}
+            section = section[key]
+        section[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_fuzz_documents())
+def test_any_config_is_rejected_or_solved(tmp_path, capsys, no_solver, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "x"
+    capsys.readouterr()
+    try:
+        code = main(["run", "--config", str(config), "--out", str(out)])
+    except AssertionError as exc:
+        assert str(exc) == "the solver ran"
+        return
+    if code == 0:  # only a run to t_end=0 finishes without a Newton stage
+        assert json.loads(read(out / "config.json"))["t_end"] == 0.0
+    else:
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err

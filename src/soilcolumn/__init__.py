@@ -49,19 +49,28 @@ from .scenarios import (
     ic_from_breakpoints,
     sandy_loam_sbar,
 )
-from .timestepper import NewtonError, SolverSettings, Trace, integrate, newton_step
+from .timestepper import (
+    Accepted,
+    NewtonError,
+    SolverSettings,
+    Trace,
+    accepted_states,
+    integrate,
+    newton_step,
+    record,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySpec", "Dirichlet", "EventReport", "Flux", "Grid",
+    "Accepted", "BoundarySpec", "Dirichlet", "EventReport", "Flux", "Grid",
     "InstabilityMetrics", "NewtonError", "OracleInvalidError", "Parameters",
     "PiecewiseLinearIC", "Robin", "Scenario", "SolverSettings", "State",
     "Trace", "FRONT_DEPTH", "MAX_BELOW_SBAR", "MAXMIN_BELOW_GAP",
-    "build_grid", "characteristics_oracle", "detect_event", "example1",
-    "example2", "example3", "extrema_series", "gravity_flux",
+    "accepted_states", "build_grid", "characteristics_oracle", "detect_event",
+    "example1", "example2", "example3", "extrema_series", "gravity_flux",
     "gravity_flux_derivative", "ic_from_breakpoints", "instability_metrics",
     "integrate", "mass_balance_audit", "mass_integral", "mass_series",
-    "newton_step", "no_flux", "positive_part", "rhs",
+    "newton_step", "no_flux", "positive_part", "record", "rhs",
     "sandy_loam_sbar",
 ]

@@ -7,7 +7,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .discretization import BoundarySpec, Grid, State, face_fluxes
+from .discretization import BoundarySpec, Grid, State
+# Nothing here calls face_fluxes; the name stays for callers that wrap
+# it, such as benchmarks/tracing.py, which counts its calls.
+from .discretization import face_fluxes  # noqa: F401
 from .model import Parameters
 
 MAX_BELOW_SBAR = "max_below_sbar"
@@ -48,20 +51,8 @@ def mass_integral(state: State, grid: Grid) -> float:
 
 
 def mass_series(trace, grid: Grid) -> np.ndarray:
-    """mass_integral at every trace time."""
-    return grid.dz * trace.profiles.sum(axis=1)
-
-
-def boundary_flux_series(trace, grid: Grid, p: Parameters,
-                         bc: BoundarySpec) -> tuple[np.ndarray, np.ndarray]:
-    """(F_top, F_bottom) evaluated on every accepted state."""
-    tops = np.empty(len(trace))
-    bottoms = np.empty(len(trace))
-    for i in range(len(trace)):
-        flux = face_fluxes(trace.state(i), grid, p, bc)
-        bottoms[i] = flux[0]
-        tops[i] = flux[-1]
-    return tops, bottoms
+    """mass_integral at every trace time, as integrate recorded it."""
+    return trace.mass
 
 
 def mass_balance_audit(trace, grid: Grid, p: Parameters,
@@ -71,12 +62,14 @@ def mass_balance_audit(trace, grid: Grid, p: Parameters,
     drift(t_k) = mass(t_k) - mass(t_0) - int_{t_0}^{t_k} (F_top - F_bottom),
     with the flux integral accumulated per accepted step by the
     trapezoidal rule. For impermeable ends this is mass(t) - mass(0).
+    The masses and fluxes are the ones integrate recorded for every
+    accepted state, so grid, p and bc are not read; they name the run
+    the trace belongs to.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    mass = mass_series(trace, grid)
-    tops, bottoms = boundary_flux_series(trace, grid, p, bc)
-    net = tops - bottoms
+    mass = trace.mass
+    net = trace.flux_top - trace.flux_bottom
     dt = np.diff(trace.times)
     inflow = np.concatenate(([0.0], np.cumsum(0.5 * dt * (net[1:] + net[:-1]))))
     return mass - mass[0] - inflow
@@ -86,7 +79,7 @@ def extrema_series(trace) -> tuple[np.ndarray, np.ndarray]:
     """(s_min, s_max) over the cells at every trace time."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    return trace.profiles.min(axis=1), trace.profiles.max(axis=1)
+    return trace.s_min, trace.s_max
 
 
 def _cross_time(times: np.ndarray, series: np.ndarray, threshold: float,
@@ -108,10 +101,12 @@ def detect_event(trace, kind: str, threshold: float,
 
     max_below_sbar: first time the column maximum falls below threshold.
     maxmin_below_gap: first time after which max - min stays below
-    threshold for the rest of the trace. Both are interpolated linearly
-    between the bracketing trace entries. front_depth: the depth where
-    the profile at at_time (default: the final time) last exceeds
-    threshold, interpolated between cell centers; requires grid.
+    threshold for the rest of the trace. Both read the extrema recorded
+    for every accepted state and are interpolated linearly between the
+    bracketing trace entries. front_depth: the depth where the profile
+    at at_time (default: the final time) last exceeds threshold,
+    interpolated between cell centers; requires grid, and a time whose
+    profile the trace kept.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")

@@ -29,6 +29,12 @@ from .tridiag import Tridiagonal
 TOP = "top"
 BOTTOM = "bottom"
 
+# Largest cell count build_grid accepts: 200 times the finest grid any
+# preset, test or benchmark uses (n=5000). Without a cap a tiny cell
+# width reaches NumPy as a request for petabytes (d=1e-15), or is
+# allocated for gigabytes before any check could refuse it (d=1e-9).
+MAX_CELLS = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -48,14 +54,19 @@ def build_grid(depth_h: float, d: float) -> Grid:
 
     The cell count is round(depth_h / d) and dz = depth_h / n_cells, so
     the cells always tile the column exactly even when d does not
-    divide depth_h.
+    divide depth_h. A count above MAX_CELLS is refused before anything
+    is allocated.
     """
     if not depth_h > 0.0:
         raise ValueError(f"depth_h must be > 0, got {depth_h}")
     if not 0.0 < d <= depth_h:
         raise ValueError(f"d must be in (0, depth_h], got {d}")
-    n = int(round(depth_h / d))
-    n = max(n, 1)
+    cells = depth_h / d
+    if not cells < MAX_CELLS + 0.5:
+        raise ValueError(
+            f"d={d} asks for {cells:.3g} cells on a column of depth {depth_h}; "
+            f"at most {MAX_CELLS} are allowed")
+    n = max(int(round(cells)), 1)
     dz = depth_h / n
     centers = -depth_h + (np.arange(n) + 0.5) * dz
     return Grid(n_cells=n, dz=dz, centers=centers)
@@ -166,6 +177,15 @@ def no_flux() -> BoundarySpec:
     return BoundarySpec(top=Flux(0.0), bottom=Flux(0.0))
 
 
+def boundary_fluxes(state: State, grid: Grid, p: Parameters,
+                    bc: BoundarySpec) -> tuple[float, float]:
+    """(F_bottom, F_top), the fluxes through the column ends: entries 0
+    and n of face_fluxes, which takes them from here."""
+    s, t, dz = state.s, state.time, grid.dz
+    return (bc.bottom.flux_and_slope(BOTTOM, s[0], t, dz, p)[0],
+            bc.top.flux_and_slope(TOP, s[-1], t, dz, p)[0])
+
+
 def face_fluxes(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> np.ndarray:
     """All n_cells+1 face fluxes, bottom end first.
 
@@ -173,13 +193,10 @@ def face_fluxes(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> np
     fluxes that the mass audit integrates in time.
     """
     s = state.s
-    t = state.time
-    dz = grid.dz
     n = grid.n_cells
     flux = np.empty(n + 1)
-    flux[1:n] = p.kappa * (s[1:] - s[:-1]) / dz + gravity_flux(s[1:], p)
-    flux[0] = bc.bottom.flux_and_slope(BOTTOM, s[0], t, dz, p)[0]
-    flux[n] = bc.top.flux_and_slope(TOP, s[n - 1], t, dz, p)[0]
+    flux[1:n] = p.kappa * (s[1:] - s[:-1]) / grid.dz + gravity_flux(s[1:], p)
+    flux[0], flux[n] = boundary_fluxes(state, grid, p, bc)
     return flux
 
 

@@ -19,6 +19,12 @@ solution. That saves about one linear solve per stage and leaves the
 converged stages, and so the controller's decisions, unchanged to
 within the Newton tolerance.
 
+accepted_states() yields every accepted state with its scalars: mass,
+extrema and the two boundary fluxes. integrate() records them all in a
+Trace but keeps full profiles only at the initial time, the requested
+output times and the last state, so the memory of a run does not grow
+by a profile per step.
+
 Failures are data, not exceptions: when the controller cannot shrink the
 step below dt_min the returned Trace carries status "failed" together
 with the last accepted state and time.
@@ -28,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import tridiag
-from .discretization import BoundarySpec, Grid, State, jacobian, rhs
+from .discretization import (
+    BoundarySpec, Grid, State, boundary_fluxes, jacobian, rhs)
 from .model import Parameters
 
 # Step-size growth is capped so one lucky estimate cannot fling the
@@ -82,18 +89,54 @@ COMPLETED = "completed"
 FAILED = "failed"
 
 
+class Accepted(NamedTuple):
+    """One accepted state of a run and the scalars Trace records for it.
+
+    dt, newton_iters and error describe the accepted step that produced
+    the state (0 for the initial state). mass is dz * sum(s), and
+    flux_bottom and flux_top are the fluxes through the column ends.
+    output is True at the initial time and at each requested output
+    time. failure is set on the last state of a run that stopped before
+    t_end, to the reason it stopped.
+    """
+
+    time: float
+    s: np.ndarray
+    dt: float
+    newton_iters: int
+    error: float
+    mass: float
+    s_min: float
+    s_max: float
+    flux_bottom: float
+    flux_top: float
+    output: bool
+    failure: Optional[str] = None
+
+
 @dataclass(eq=False)
 class Trace:
-    """Accepted states of one integration, in strictly increasing time.
+    """One integration: every accepted state's scalars, and the full
+    profiles of a few of them, in strictly increasing time.
 
-    profiles[k] is the saturation vector at times[k]; row 0 is the
-    initial condition. The step_* arrays describe the accepted step that
-    produced row k+1. Output times requested from integrate() appear
-    exactly (the controller trims steps to land on them).
+    times holds every accepted time, times[0] being the initial one, and
+    mass, s_min, s_max, flux_bottom and flux_top the matching scalars of
+    each state (see Accepted). The step_* arrays describe the accepted
+    step that produced state k+1. profiles[j] is the saturation at
+    times[kept[j]]; integrate keeps the initial state, each requested
+    output time and the last state. Output times requested from
+    integrate() appear exactly (the controller trims steps to land on
+    them). Iterate accepted_states() for the profile of every state.
     """
 
     times: np.ndarray
+    kept: np.ndarray
     profiles: np.ndarray
+    mass: np.ndarray
+    s_min: np.ndarray
+    s_max: np.ndarray
+    flux_bottom: np.ndarray
+    flux_top: np.ndarray
     step_dt: np.ndarray
     step_newton_iters: np.ndarray
     step_error: np.ndarray
@@ -105,7 +148,13 @@ class Trace:
         return self.times.size
 
     def state(self, i: int) -> State:
-        return State(time=float(self.times[i]), s=self.profiles[i])
+        """State i (0 is the initial state); ValueError when its profile
+        was not kept."""
+        i = range(len(self))[i]
+        row = int(np.searchsorted(self.kept, i))
+        if row == self.kept.size or self.kept[row] != i:
+            raise ValueError(f"the profile at t={self.times[i]} was not kept")
+        return State(time=float(self.times[i]), s=self.profiles[row])
 
     def state_at(self, t: float, tol: float = 1e-9) -> State:
         """State at a time the trace hit exactly (an output time)."""
@@ -165,15 +214,15 @@ def _error_estimate(big: np.ndarray, fine: np.ndarray, s_old: np.ndarray,
     return float((np.abs(big - fine) / scale).max())
 
 
-def integrate(initial: State, t_end: float, output_times: Sequence[float],
-              grid: Grid, p: Parameters, bc: BoundarySpec,
-              settings: Optional[SolverSettings] = None) -> Trace:
-    """Advance the column from initial.time to t_end.
+def accepted_states(initial: State, t_end: float, output_times: Sequence[float],
+                    grid: Grid, p: Parameters, bc: BoundarySpec,
+                    settings: Optional[SolverSettings] = None) -> Iterator[Accepted]:
+    """The accepted states of a run from initial.time to t_end, in order.
 
-    Every accepted step is recorded; each requested output time is hit
-    exactly by trimming the step that would cross it. The trace of a
-    failed run ends at the last accepted state, with the failure time
-    and reason recorded in the trace.
+    The initial state comes first. Each requested output time is hit
+    exactly by trimming the step that would cross it. A run that cannot
+    go on stops at its last accepted state, which then carries the
+    failure reason. The input is checked here, before the first state.
     """
     if settings is None:
         settings = SolverSettings()
@@ -190,24 +239,34 @@ def integrate(initial: State, t_end: float, output_times: Sequence[float],
     for t in output_times:
         if not t0 <= t <= t_end:
             raise ValueError(f"output time {t} outside [{t0}, {t_end}]")
+    return _march(initial, t_end, output_times, grid, p, bc, settings)
+
+
+def _march(initial: State, t_end: float, output_times: Sequence[float],
+           grid: Grid, p: Parameters, bc: BoundarySpec,
+           settings: SolverSettings) -> Iterator[Accepted]:
+    outputs = {float(t) for t in output_times}
+    t0 = initial.time
+
+    def accepted(t, s, dt=0.0, iters=0, err=0.0):
+        flux_bottom, flux_top = boundary_fluxes(State(time=t, s=s), grid, p, bc)
+        return Accepted(t, s, dt, iters, err, grid.dz * float(np.sum(s)),
+                        float(s.min()), float(s.max()), flux_bottom, flux_top,
+                        t == t0 or t in outputs)
 
     targets = sorted({float(t) for t in output_times if t > t0} | {float(t_end)})
-    times = [t0]
-    profiles = [np.array(initial.s, dtype=float)]
-    step_dt: list[float] = []
-    step_iters: list[int] = []
-    step_err: list[float] = []
-    status = COMPLETED
-    failure_reason = None
-
+    failure = None
     t = t0
-    s = profiles[0]
+    s = np.array(initial.s, dtype=float)
+    # A state is yielded once the step after it is accepted, so that the
+    # last one can carry the failure reason.
+    pending = accepted(t, s)
     # State before the last accepted step, and that step's size.
     s_prev: Optional[np.ndarray] = None
     dt_prev = 0.0
     dt_next = min(max(settings.dt_init, settings.dt_min), settings.dt_max)
     target_idx = 0
-    while target_idx < len(targets):
+    while target_idx < len(targets) and failure is None:
         target = targets[target_idx]
         gap = target - t
         if gap <= 0.0:
@@ -233,19 +292,15 @@ def integrate(initial: State, t_end: float, output_times: Sequence[float],
             except NewtonError as exc:
                 dt_attempt = 0.5 * dt_try
                 if dt_attempt < settings.dt_min:
-                    status = FAILED
-                    failure_reason = f"step size underflow after Newton failure: {exc}"
+                    failure = f"step size underflow after Newton failure: {exc}"
                     break
                 continue
             err = _error_estimate(big, fine, s, settings)
             if err <= 1.0:
                 t = target if hit else t + dt_try
                 s_prev, dt_prev, s = s, dt_try, fine
-                times.append(t)
-                profiles.append(s)
-                step_dt.append(dt_try)
-                step_iters.append(it_big + it_mid + it_fin)
-                step_err.append(err)
+                yield pending
+                pending = accepted(t, s, dt_try, it_big + it_mid + it_fin, err)
                 if hit:
                     target_idx += 1
                 factor = GROWTH_CAP if err == 0.0 else min(
@@ -254,21 +309,62 @@ def integrate(initial: State, t_end: float, output_times: Sequence[float],
                 break
             dt_attempt = dt_try * max(settings.safety * err ** -0.5, SHRINK_CAP)
             if dt_attempt < settings.dt_min:
-                status = FAILED
-                failure_reason = (
+                failure = (
                     f"step size underflow below dt_min={settings.dt_min} "
                     f"(error estimate {err:.3g})")
                 break
-        if status == FAILED:
-            break
+    yield pending._replace(failure=failure)
 
+
+def record(states: Iterable[Accepted]) -> Trace:
+    """The Trace of a run's accepted states: every state's time, step
+    and scalars, and the profiles of its output states and its last."""
+    scalars = []
+    kept: list[int] = []
+    profiles = []
+    for state in states:
+        if state.output:
+            kept.append(len(scalars))
+            profiles.append(state.s)
+        scalars.append((state.time, state.dt, state.newton_iters, state.error,
+                        state.mass, state.s_min, state.s_max, state.flux_bottom,
+                        state.flux_top))
+    if kept[-1] != len(scalars) - 1:
+        kept.append(len(scalars) - 1)
+        profiles.append(state.s)
+    (times, step_dt, step_iters, step_err, mass, s_min, s_max, flux_bottom,
+     flux_top) = np.array(scalars).T
     return Trace(
-        times=np.array(times),
+        times=times,
+        kept=np.array(kept),
         profiles=np.array(profiles),
-        step_dt=np.array(step_dt),
-        step_newton_iters=np.array(step_iters, dtype=int),
-        step_error=np.array(step_err),
-        status=status,
-        failure_time=t if status == FAILED else None,
-        failure_reason=failure_reason,
+        mass=mass,
+        s_min=s_min,
+        s_max=s_max,
+        flux_bottom=flux_bottom,
+        flux_top=flux_top,
+        step_dt=step_dt[1:],
+        step_newton_iters=step_iters[1:].astype(int),
+        step_error=step_err[1:],
+        status=COMPLETED if state.failure is None else FAILED,
+        failure_time=None if state.failure is None else state.time,
+        failure_reason=state.failure,
     )
+
+
+def integrate(initial: State, t_end: float, output_times: Sequence[float],
+              grid: Grid, p: Parameters, bc: BoundarySpec,
+              settings: Optional[SolverSettings] = None) -> Trace:
+    """Advance the column from initial.time to t_end.
+
+    The returned Trace records every accepted step and the scalars of
+    every accepted state, and keeps the full profile at the initial
+    time, at each output time and at the last state. Each requested
+    output time is hit exactly by trimming the step that would cross
+    it. The trace of a failed run ends at the last accepted state, with
+    the failure time and reason recorded in the trace. For every
+    profile, iterate accepted_states() with the same arguments, and
+    pass those states to record() for the Trace of the same run.
+    """
+    return record(accepted_states(initial, t_end, output_times, grid, p, bc,
+                                  settings))

@@ -1,6 +1,10 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from soilcolumn import timestepper
+from soilcolumn.scenarios import example1
 
 # One line per acceptance criterion, printed after the run so the
 # verdicts are visible even when pytest captures test output.
@@ -23,6 +27,28 @@ def no_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the solver ran")
     monkeypatch.setattr(timestepper, "_newton_solve", refuse)
+
+
+@pytest.fixture(scope="session")
+def integrate_every_profile():
+    """integrate(), returning with its Trace the profile of every accepted
+    state, both from one run."""
+    def run(*args, **kwargs):
+        states = list(timestepper.accepted_states(*args, **kwargs))
+        return timestepper.record(states), np.array([state.s for state in states])
+    return run
+
+
+@pytest.fixture(scope="session")
+def ex1_to_t5(integrate_every_profile):
+    """example1 run to t=5, with every accepted profile:
+    (scenario, grid, trace, profiles)."""
+    scn = dataclasses.replace(example1(), t_end=5.0, output_times=(5.0,))
+    grid = scn.build_grid()
+    trace, profiles = integrate_every_profile(scn.initial_state(grid), scn.t_end,
+                                              scn.output_times, grid, scn.params,
+                                              scn.bc)
+    return scn, grid, trace, profiles
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

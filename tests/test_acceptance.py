@@ -22,21 +22,23 @@ from soilcolumn.scenarios import example1, example2, example3
 from soilcolumn.timestepper import SolverSettings, integrate
 
 
-def run_scenario(scn, t_end=None, output_times=None, settings=None):
+def run_scenario(scn, t_end=None, output_times=None, run=integrate):
+    """run (integrate, or the integrate_every_profile fixture) on a
+    scenario, with its end time and output times unless given."""
     grid = scn.build_grid()
-    trace = integrate(scn.initial_state(grid),
-                      scn.t_end if t_end is None else t_end,
-                      scn.output_times if output_times is None else output_times,
-                      grid, scn.params, scn.bc, settings)
-    return grid, trace
+    result = run(scn.initial_state(grid),
+                 scn.t_end if t_end is None else t_end,
+                 scn.output_times if output_times is None else output_times,
+                 grid, scn.params, scn.bc)
+    return grid, result
 
 
 @pytest.fixture(scope="module")
-def ex1_run():
+def ex1_run(integrate_every_profile):
     scn = example1()
     start = time.perf_counter()
-    grid, trace = run_scenario(scn)
-    return scn, grid, trace, time.perf_counter() - start
+    grid, (trace, profiles) = run_scenario(scn, run=integrate_every_profile)
+    return scn, grid, trace, profiles, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -49,24 +51,26 @@ def ex1_half_d_run():
 
 
 @pytest.fixture(scope="module")
-def ex2_run():
+def ex2_run(integrate_every_profile):
     scn = example2()
-    grid, trace = run_scenario(scn)
-    return scn, grid, trace
+    grid, (trace, profiles) = run_scenario(scn, run=integrate_every_profile)
+    return scn, grid, trace, profiles
 
 
 @pytest.fixture(scope="module")
-def ex3_triptych():
+def ex3_triptych(integrate_every_profile):
     runs = {}
     for kappa in (0.01, 0.001, 0.0):
         scn = example3(kappa=kappa)
-        grid, trace = run_scenario(scn, t_end=0.5, output_times=[0.5])
-        runs[kappa] = (scn, grid, trace)
+        grid, (trace, profiles) = run_scenario(scn, t_end=0.5, output_times=[0.5],
+                                               run=integrate_every_profile)
+        runs[kappa] = (scn, grid, trace, profiles)
     return runs
 
 
-def worst_metrics(trace):
-    per_state = [instability_metrics(trace.state(i)) for i in range(len(trace))]
+def worst_metrics(trace, profiles):
+    per_state = [instability_metrics(State(t, s))
+                 for t, s in zip(trace.times, profiles)]
     return InstabilityMetrics(max(m.undershoot for m in per_state),
                               max(m.overshoot for m in per_state),
                               max(m.zigzag for m in per_state))
@@ -97,7 +101,7 @@ def entropy_front_depth(t, s_bar, mass):
 
 
 def test_criterion_1_mass_conservation(ex1_run, acceptance_report):
-    scn, grid, trace, runtime = ex1_run
+    scn, grid, trace, profiles, runtime = ex1_run
     mass0 = mass_integral(trace.state(0), grid)
     drift = mass_balance_audit(trace, grid, scn.params, scn.bc)
     worst = float(np.max(np.abs(drift)))
@@ -109,10 +113,15 @@ def test_criterion_1_mass_conservation(ex1_run, acceptance_report):
     assert worst <= 1e-3
     assert mass0 == pytest.approx(0.505, abs=1e-3)
     assert runtime < 120.0
+    # Full profiles only at t0 and the four output times, while every
+    # accepted state keeps its time and scalars.
+    assert trace.profiles.shape == (5, grid.n_cells)
+    assert len(trace) == trace.step_dt.size + 1 == len(profiles)
+    assert float(trace.s_min.min()) >= -1e-10
 
 
 def test_criterion_2_threshold_event(ex1_run, ex1_half_d_run, acceptance_report):
-    scn, grid, trace, _ = ex1_run
+    scn, grid, trace, _, _ = ex1_run
     event = detect_event(trace, MAX_BELOW_SBAR, scn.params.s_bar)
     grid2, trace2 = ex1_half_d_run
     event2 = detect_event(trace2, MAX_BELOW_SBAR, scn.params.s_bar)
@@ -133,7 +142,7 @@ def test_criterion_3_uniformization_event(ex1_run, acceptance_report):
     # time constant 1/(kappa*(pi/h)^2) ~ 507 (see
     # test_uniformization_follows_diffusive_decay), so a 0.1 gap is
     # reached near t~591, a decade of gap earlier by ln(10)*507.
-    scn, grid, trace, _ = ex1_run
+    scn, grid, trace, _, _ = ex1_run
     event = detect_event(trace, MAXMIN_BELOW_GAP, 0.01)
     coarse = detect_event(trace, MAXMIN_BELOW_GAP, 0.1)
     detail = (f"gap<0.01 at t={event.time:.1f} (band [1405, 2107]), "
@@ -154,9 +163,9 @@ def test_uniformization_follows_diffusive_decay(ex1_run):
     this pins the late-time dynamics to the model rather than to any
     reported reference value.
     """
-    scn, grid, trace, _ = ex1_run
+    scn, grid, trace, profiles, _ = ex1_run
     k0 = int(np.searchsorted(trace.times, 200.0))
-    s0 = trace.profiles[k0]
+    s0 = profiles[k0]
     t0 = trace.times[k0]
     assert s0.max() < scn.params.s_bar  # transport is off from here on
     h = scn.params.depth_h
@@ -170,7 +179,7 @@ def test_uniformization_follows_diffusive_decay(ex1_run):
                        * (trace.times[k] - t0))
         s_exact = s0.mean() + (coef * decay) @ basis
         gap_exact = float(s_exact.max() - s_exact.min())
-        gap_sim = float(trace.profiles[k].max() - trace.profiles[k].min())
+        gap_sim = float(profiles[k].max() - profiles[k].min())
         assert gap_sim == pytest.approx(gap_exact, rel=5e-3, abs=2e-5)
     # the paper-reported settling time t=1756 corresponds to a gap of
     # 0.01 under this decay, not 0.1
@@ -181,7 +190,7 @@ def test_uniformization_follows_diffusive_decay(ex1_run):
 
 def test_redistribution_profiles_descend(ex1_run):
     """Snapshots show a descending front and a draining surface."""
-    scn, grid, trace, _ = ex1_run
+    scn, grid, trace, _, _ = ex1_run
     tops, fronts = [], []
     for t in scn.output_times:
         state = trace.state_at(t)
@@ -197,13 +206,13 @@ def test_redistribution_profiles_descend(ex1_run):
 def test_mass_audit_bounded_on_dirichlet_run(ex3_triptych):
     # with open ends the audit integrates the boundary fluxes in time;
     # the trapezoidal quadrature must stay far below the 1e-3 budget
-    scn, grid, trace = ex3_triptych[0.01]
+    scn, grid, trace, _ = ex3_triptych[0.01]
     drift = mass_balance_audit(trace, grid, scn.params, scn.bc)
     assert float(np.max(np.abs(drift))) <= 1e-3
 
 
 def test_criterion_4_strong_diffusion_stable(ex3_triptych, acceptance_report):
-    _, _, trace = ex3_triptych[0.01]
+    _, _, trace, _ = ex3_triptych[0.01]
     final = instability_metrics(trace.state_at(0.5))
     detail = (f"kappa=0.01: zigzag={final.zigzag} (expect 0), "
               f"undershoot={final.undershoot:.1e} (limit 1e-3)")
@@ -221,10 +230,10 @@ def test_criterion_4_weak_diffusion_oscillates(ex3_triptych, acceptance_report):
     # oscillate, as the paper's FEM does at this kappa. The equation
     # itself cannot oscillate (sign changes of s_z never increase), and
     # the upwind scheme must not either, on every stored profile.
-    scn, grid, trace = ex3_triptych[0.001]
+    scn, grid, trace, profiles = ex3_triptych[0.001]
     p = scn.params
     peclet = 2.0 * p.alpha_g * (1.0 - p.s_bar) * grid.dz / p.kappa
-    worst = worst_metrics(trace)
+    worst = worst_metrics(trace, profiles)
     detail = (f"kappa=0.001: cell Peclet={peclet:.1f} (need > 2), "
               + monotone_detail(trace, worst))
     passed = peclet > 2.0 and is_monotone(trace, worst)
@@ -242,8 +251,8 @@ def test_criterion_4_no_diffusion_collapses(ex3_triptych, acceptance_report):
     # complete as monotone as in 4b and must move the front to where
     # the entropy solution has it, so a frozen or over-smeared profile
     # fails too.
-    scn, grid, trace = ex3_triptych[0.0]
-    worst = worst_metrics(trace)
+    scn, grid, trace, profiles = ex3_triptych[0.0]
+    worst = worst_metrics(trace, profiles)
     exact = entropy_front_depth(0.5, scn.params.s_bar,
                                 mass_integral(trace.state(0), grid))
     front = detect_event(trace, FRONT_DEPTH, 0.05, grid=grid, at_time=0.5)
@@ -280,8 +289,8 @@ def test_criterion_5_stickiness_front_depth(acceptance_report):
 
 
 def test_criterion_6_bottom_wetting_behaviour(ex2_run, acceptance_report):
-    scn, grid, trace = ex2_run
-    top = trace.profiles[:, -1]
+    scn, grid, trace, profiles = ex2_run
+    top = profiles[:, -1]
     worst_drop = float(np.min(np.diff(top)))
     s_min, s_max = extrema_series(trace)
     settled = s_max <= scn.params.s_bar + 1e-2
@@ -342,7 +351,7 @@ def test_criterion_7_hyperbolic_limit_oracle(acceptance_report):
     assert 0.3 <= ratio <= 0.7
 
 
-def test_criterion_8_property_suites(acceptance_report):
+def test_criterion_8_property_suites(integrate_every_profile, acceptance_report):
     rng = np.random.default_rng(2024)
     p = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
     grid = build_grid(5.0, 0.01)
@@ -380,9 +389,10 @@ def test_criterion_8_property_suites(acceptance_report):
     # pure-diffusion maximum principle over a full run
     p_diff = Parameters(kappa=0.005, alpha_g=0.0, s_bar=0.0)
     state = State(0.0, rng.uniform(0.0, 1.0, small.n_cells))
-    diff_trace = integrate(state, 20.0, [20.0], small, p_diff, no_flux())
-    mins = diff_trace.profiles.min(axis=1)
-    maxs = diff_trace.profiles.max(axis=1)
+    _, diff_profiles = integrate_every_profile(state, 20.0, [20.0], small, p_diff,
+                                               no_flux())
+    mins = diff_profiles.min(axis=1)
+    maxs = diff_profiles.max(axis=1)
     max_principle = bool(np.all(np.diff(mins) >= -1e-9)
                          and np.all(np.diff(maxs) <= 1e-9))
 
@@ -391,15 +401,16 @@ def test_criterion_8_property_suites(acceptance_report):
     steady = True
     for bc in (no_flux(), BoundarySpec(top=Robin(1.0, c), bottom=Robin(2.0, c))):
         const = State(0.0, np.full(grid.n_cells, c))
-        tr = integrate(const, 3.0, [3.0], grid, p, bc)
-        steady = steady and bool(np.all(tr.profiles == c))
+        _, profiles = integrate_every_profile(const, 3.0, [3.0], grid, p, bc)
+        steady = steady and bool(np.all(profiles == c))
 
     # bitwise determinism
     scn = example3(kappa=0.01)
     g3 = scn.build_grid()
-    a = integrate(scn.initial_state(g3), 0.1, [0.1], g3, scn.params, scn.bc)
-    b = integrate(scn.initial_state(g3), 0.1, [0.1], g3, scn.params, scn.bc)
-    deterministic = bool(np.array_equal(a.profiles, b.profiles)
+    (a, a_profiles), (b, b_profiles) = [
+        integrate_every_profile(scn.initial_state(g3), 0.1, [0.1], g3, scn.params,
+                                scn.bc) for _ in range(2)]
+    deterministic = bool(np.array_equal(a_profiles, b_profiles)
                          and np.array_equal(a.times, b.times))
 
     detail = (f"telescoping={worst_tel:.1e} (limit 1e-13), "

@@ -161,6 +161,8 @@ class TestConfigErrors:
         ["--t-end", "0.001", "--output-times", "nan,7"],
         ["--t-end", "0.001", "--output-times=-0.0005,0.001"],
         ["--output-times", "inf"],
+        ["--set", "d=1e-15", "--t-end", "0.001"],
+        ["--set", "d=1e-9"],
     ])
     def test_rejected_before_solving(self, tmp_path, capsys, no_solver, args):
         code = main(["run", "--scenario", "example3", *args,
@@ -289,10 +291,7 @@ class TestSweep:
 
 # The config fuzz: documents with any top-level, params, set, grid, solver
 # or end-condition key set to an arbitrary JSON value must either be
-# rejected as a configuration error or reach the solver. Floats come from
-# a fixed set with no tiny positive value, because the cell count
-# round(h/d) has no bound yet: d=1e-15 raises MemoryError, and d=1e-9
-# would allocate about 5e9 cells before any check could refuse it.
+# rejected as a configuration error or reach the solver.
 _TOP_PATHS = [(key,) for key in ("scenario", "params", "ic", "bc", "grid", "t_end",
                                  "output_times", "set", "solver")]
 _SHARED_PATHS = [
@@ -318,7 +317,8 @@ _FUZZ_CASES = [
      _TOP_PATHS + _SHARED_PATHS + _INLINE_PATHS),
 ]
 _FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5,
-                           1e-300, 1e-3, 0.25, 0.5, 2.7, 1e300])
+                           5e-324, 1e-300, 1e-15, 1e-9, 1e-3, 0.25, 0.5, 2.7,
+                           1e300])
 _SCALARS = st.one_of(
     _FLOATS, st.integers(-3, 30), st.none(), st.booleans(), st.just(10 ** 400),
     st.sampled_from(["", "abc", "0.5", "nan", "example3", "flux", "robin"]))

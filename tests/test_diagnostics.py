@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -6,20 +9,24 @@ from soilcolumn.diagnostics import (
     characteristics_oracle, detect_event, extrema_series, instability_metrics,
     mass_balance_audit, mass_integral, mass_series)
 from soilcolumn.discretization import (
-    BoundarySpec, Flux, State, build_grid, no_flux)
+    BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
+    no_flux)
 from soilcolumn.model import Parameters
 from soilcolumn.scenarios import example1, example2, example3, ic_from_breakpoints
-from soilcolumn.timestepper import Trace, integrate
+from soilcolumn.timestepper import FAILED, SolverSettings, Trace, integrate
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 
 
 def synthetic_trace(times, profiles):
+    """A sealed-column Trace that kept every profile."""
     times = np.asarray(times, dtype=float)
     profiles = np.asarray(profiles, dtype=float)
     steps = max(times.size - 1, 0)
-    return Trace(times=times, profiles=profiles,
-                 step_dt=np.diff(times),
+    return Trace(times=times, kept=np.arange(times.size), profiles=profiles,
+                 mass=profiles.sum(axis=1), s_min=profiles.min(axis=1),
+                 s_max=profiles.max(axis=1), flux_bottom=np.zeros(times.size),
+                 flux_top=np.zeros(times.size), step_dt=np.diff(times),
                  step_newton_iters=np.ones(steps, dtype=int),
                  step_error=np.zeros(steps))
 
@@ -74,6 +81,98 @@ class TestMassBalanceAudit:
         empty = synthetic_trace(np.empty(0), np.empty((0, g.n_cells)))
         with pytest.raises(ValueError):
             mass_balance_audit(empty, g, SANDY, no_flux())
+
+
+def profile_audit(times, profiles, grid, p, bc):
+    """mass_balance_audit computed from every profile: face_fluxes on
+    each state, integrated in time by the trapezoidal rule."""
+    mass = grid.dz * profiles.sum(axis=1)
+    flux = np.array([face_fluxes(State(float(t), s), grid, p, bc)
+                     for t, s in zip(times, profiles)])
+    net = flux[:, -1] - flux[:, 0]
+    dt = np.diff(times)
+    inflow = np.concatenate(([0.0], np.cumsum(0.5 * dt * (net[1:] + net[:-1]))))
+    return mass - mass[0] - inflow
+
+
+def flux_over_robin():
+    base = example2()
+    return dataclasses.replace(
+        base, bc=BoundarySpec(top=Flux(0.003), bottom=Robin(1.0, 0.1)),
+        t_end=2.0, output_times=(1.0, 2.0))
+
+
+def unreachable_tolerance_run():
+    """The run of test_failure_report_when_tolerance_unreachable; it fails
+    before its first accepted step. Returns (integrate's arguments,
+    output times)."""
+    scn = example3(kappa=0.0)
+    g = scn.build_grid()
+    settings = SolverSettings(rel_tol=1e-13, abs_tol=1e-15, dt_init=1e-4,
+                              dt_min=5e-5)
+    return (scn.initial_state(g), 0.5, [0.5], g, scn.params, scn.bc, settings), [0.5]
+
+
+def boundary_turns_nan_run():
+    """A run whose top value turns NaN at t=0.01, so Newton fails there
+    after accepted steps and an output time at 0.005."""
+    g = build_grid(1.0, 0.05)
+    bc = BoundarySpec(top=Dirichlet(lambda t: 0.3 if t < 0.01 else math.nan),
+                      bottom=Flux(0.0))
+    initial = State(0.0, np.linspace(0.0, 0.3, g.n_cells))
+    return (initial, 0.1, [0.005, 0.1], g, SANDY, bc), [0.005, 0.1]
+
+
+class TestRecordedScalars:
+    """The per-state scalars a Trace records equal the same quantities
+    computed from every accepted profile, bit for bit."""
+
+    @staticmethod
+    def check(scenario, g, trace, profiles):
+        p, bc = scenario.params, scenario.bc
+        assert trace.status == "completed"
+        assert len(trace) == trace.step_dt.size + 1 == len(profiles)
+        assert np.array_equal(mass_series(trace, g), g.dz * profiles.sum(axis=1))
+        s_min, s_max = extrema_series(trace)
+        assert np.array_equal(s_min, profiles.min(axis=1))
+        assert np.array_equal(s_max, profiles.max(axis=1))
+        assert np.array_equal(mass_balance_audit(trace, g, p, bc),
+                              profile_audit(trace.times, profiles, g, p, bc))
+        # rows kept: the initial state and the output times, the last of
+        # which is t_end
+        assert trace.times[trace.kept].tolist() == [0.0, *scenario.output_times]
+        assert np.array_equal(trace.profiles, profiles[trace.kept])
+
+    def test_sealed_ends(self, ex1_to_t5):
+        self.check(*ex1_to_t5)
+
+    @pytest.mark.parametrize("scenario", [
+        dataclasses.replace(example3(kappa=0.01), t_end=0.5,
+                            output_times=(0.25, 0.5)),
+        flux_over_robin(),
+    ], ids=["dirichlet", "flux-robin"])
+    def test_open_ends(self, integrate_every_profile, scenario):
+        g = scenario.build_grid()
+        trace, profiles = integrate_every_profile(
+            scenario.initial_state(g), scenario.t_end, scenario.output_times, g,
+            scenario.params, scenario.bc)
+        self.check(scenario, g, trace, profiles)
+
+    @pytest.mark.parametrize("failing_run", [
+        unreachable_tolerance_run, boundary_turns_nan_run,
+    ], ids=["at-t0", "after-steps"])
+    def test_failed_run_keeps_last_accepted_state(self, integrate_every_profile,
+                                                  failing_run):
+        args, output_times = failing_run()
+        trace, profiles = integrate_every_profile(*args)
+        assert trace.status == FAILED
+        reached = [t for t in output_times if t <= trace.failure_time]
+        assert trace.times[trace.kept].tolist() == sorted(
+            {0.0, *reached, trace.failure_time})
+        assert trace.final.time == trace.failure_time == trace.times[-1]
+        assert np.array_equal(trace.final.s, profiles[-1])
+        with pytest.raises(ValueError):
+            trace.state_at(output_times[-1])
 
 
 class TestExtremaSeries:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from soilcolumn.discretization import (
-    BOTTOM, TOP, BoundarySpec, Dirichlet, Flux, Robin, State, build_grid,
-    face_fluxes, jacobian, no_flux, rhs)
+    BOTTOM, MAX_CELLS, TOP, BoundarySpec, Dirichlet, Flux, Robin, State,
+    build_grid, face_fluxes, jacobian, no_flux, rhs)
 from soilcolumn.model import Parameters
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
@@ -41,6 +41,12 @@ class TestBuildGrid:
     def test_invalid_arguments(self, h, d):
         with pytest.raises(ValueError):
             build_grid(h, d)
+
+    def test_cell_count_capped(self):
+        assert build_grid(1.0, 1.0 / MAX_CELLS).n_cells == MAX_CELLS
+        for d in (1.0 / (MAX_CELLS + 1), 1e-9, 1e-15, 5e-324):
+            with pytest.raises(ValueError, match="at most"):
+                build_grid(1.0, d)
 
 
 def interior_face_flux(s_lower, s_upper, dz, p):

@@ -104,13 +104,14 @@ class TestIntegrate:
         assert trace.status == COMPLETED
         np.testing.assert_array_equal(trace.profiles[0], state.s)
 
-    def test_uniform_diffusion_stays_constant(self):
+    def test_uniform_diffusion_stays_constant(self, integrate_every_profile):
         p = Parameters(kappa=0.01, alpha_g=0.0, s_bar=0.0)
         g = build_grid(1.0, 0.1)
         state = State(0.0, np.full(g.n_cells, 0.42))
-        trace = integrate(state, 10.0, [10.0], g, p, no_flux())
+        trace, profiles = integrate_every_profile(state, 10.0, [10.0], g, p,
+                                                  no_flux())
         assert trace.status == COMPLETED
-        assert np.all(trace.profiles == 0.42)
+        assert np.all(profiles == 0.42)
         # nothing rejects, so the controller expands to dt_max quickly
         assert len(trace) - 1 <= 20
 
@@ -159,25 +160,26 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="non-finite"):
             integrate(State(0.0, s), 1.0, [], g, SANDY, no_flux())
 
-    def test_pure_diffusion_max_principle_over_run(self):
+    def test_pure_diffusion_max_principle_over_run(self, integrate_every_profile):
         p = Parameters(kappa=0.005, alpha_g=0.0, s_bar=0.0)
         g = build_grid(5.0, 0.02)
         rng = np.random.default_rng(11)
         state = State(0.0, rng.uniform(0.0, 1.0, g.n_cells))
-        trace = integrate(state, 50.0, [50.0], g, p, no_flux())
-        s_min = trace.profiles.min(axis=1)
-        s_max = trace.profiles.max(axis=1)
+        _, profiles = integrate_every_profile(state, 50.0, [50.0], g, p, no_flux())
+        s_min = profiles.min(axis=1)
+        s_max = profiles.max(axis=1)
         assert np.all(np.diff(s_min) >= -1e-9)
         assert np.all(np.diff(s_max) <= 1e-9)
 
-    def test_bitwise_deterministic(self):
+    def test_bitwise_deterministic(self, integrate_every_profile):
         scn = example3(kappa=0.01)
         g = scn.build_grid()
-        runs = [integrate(scn.initial_state(g), 0.1, [0.1], g, scn.params, scn.bc)
-                for _ in range(2)]
-        assert np.array_equal(runs[0].times, runs[1].times)
-        assert np.array_equal(runs[0].profiles, runs[1].profiles)
-        assert np.array_equal(runs[0].step_dt, runs[1].step_dt)
+        runs = [integrate_every_profile(scn.initial_state(g), 0.1, [0.1], g,
+                                        scn.params, scn.bc) for _ in range(2)]
+        (a, a_profiles), (b, b_profiles) = runs
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a_profiles, b_profiles)
+        assert np.array_equal(a.step_dt, b.step_dt)
 
     def test_failure_report_when_tolerance_unreachable(self):
         # an error tolerance the step floor cannot deliver must surface
@@ -194,25 +196,23 @@ class TestIntegrate:
         assert trace.failure_time == trace.times[-1]
         assert len(trace) >= 1
 
-    def test_per_step_mass_slip_bounded_by_newton_residual(self):
+    def test_per_step_mass_slip_bounded_by_newton_residual(self,
+                                                           integrate_every_profile):
         # sealed ends: the flux differences telescope away, so any mass
         # change per accepted step is the Newton residual alone
         scn = example1()
         g = scn.build_grid()
         settings = SolverSettings()
-        trace = integrate(scn.initial_state(g), 2.0, [2.0], g, scn.params,
-                          scn.bc, settings)
-        mass = g.dz * trace.profiles.sum(axis=1)
+        _, profiles = integrate_every_profile(scn.initial_state(g), 2.0, [2.0], g,
+                                              scn.params, scn.bc, settings)
+        mass = g.dz * profiles.sum(axis=1)
         slip = np.max(np.abs(np.diff(mass)))
         assert slip <= g.n_cells * settings.newton_tol
 
-    def test_predictor_keeps_stages_near_one_solve(self):
+    def test_predictor_keeps_stages_near_one_solve(self, ex1_to_t5):
         # a stage started from its predictor converges after one linear
         # solve (two iterations); from the old state it needs two solves
-        scn = example1()
-        g = scn.build_grid()
-        trace = integrate(scn.initial_state(g), 5.0, [5.0], g, scn.params,
-                          scn.bc)
+        _, _, trace, _ = ex1_to_t5
         stages = 3 * (len(trace) - 1)
         assert trace.step_newton_iters.sum() <= 2.1 * stages
 

@@ -280,7 +280,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
         while True:
             hit = dt_attempt >= gap
             dt_try = gap if hit else dt_attempt
-            guess = s if s_prev is None else s + (dt_try / dt_prev) * (s - s_prev)
+            guess = s if s_prev is None else s + dt_try * ((s - s_prev) / dt_prev)
             try:
                 big, it_big = _newton_solve(s, t + dt_try, dt_try, grid, p, bc,
                                             settings, guess)

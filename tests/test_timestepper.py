@@ -125,6 +125,15 @@ class TestIntegrate:
             assert t in trace.times
         assert np.all(np.diff(trace.times) > 0)
 
+    def test_subnormal_first_step_then_full_steps(self):
+        # a first output time of 5e-324 forces a subnormal first step;
+        # the predictor of the next step must not divide by it
+        g = build_grid(1.0, 0.1)
+        state = State(0.0, np.linspace(0.0, 0.9, g.n_cells))
+        trace = integrate(state, 0.05, [5e-324, 0.05], g, SANDY, no_flux())
+        assert trace.status == COMPLETED
+        assert trace.times[1] == 5e-324
+
     def test_step_stats_shapes(self):
         g = build_grid(1.0, 0.1)
         state = State(0.0, np.linspace(0.0, 0.9, g.n_cells))

@@ -57,21 +57,20 @@ def mass_series(trace, grid: Grid) -> np.ndarray:
 
 def mass_balance_audit(trace, grid: Grid, p: Parameters,
                        bc: BoundarySpec) -> np.ndarray:
-    """Mass drift against the time-integrated boundary fluxes.
+    """Mass drift against the boundary fluxes the solver applied.
 
-    drift(t_k) = mass(t_k) - mass(t_0) - int_{t_0}^{t_k} (F_top - F_bottom),
-    with the flux integral accumulated per accepted step by the
-    trapezoidal rule. For impermeable ends this is mass(t) - mass(0).
-    The masses and fluxes are the ones integrate recorded for every
-    accepted state, so grid, p and bc are not read; they name the run
-    the trace belongs to.
+    drift(t_k) = mass(t_k) - mass(t_0) - sum_{j<k} dt_j * net(t_{j+1}), with
+    net = F_top - F_bottom: a backward-Euler step changes the mass by its
+    dt times the net inflow at the state it reaches, plus its Newton
+    residual, so the drift is residual and round-off. The masses, fluxes
+    and steps are the ones integrate recorded, so grid, p and bc are not
+    read; they name the run the trace belongs to.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
     mass = trace.mass
     net = trace.flux_top - trace.flux_bottom
-    dt = np.diff(trace.times)
-    inflow = np.concatenate(([0.0], np.cumsum(0.5 * dt * (net[1:] + net[:-1]))))
+    inflow = np.concatenate(([0.0], np.cumsum(trace.step_dt * net[1:])))
     return mass - mass[0] - inflow
 
 

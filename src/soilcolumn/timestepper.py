@@ -1,23 +1,15 @@
 """Adaptive implicit time integration of the semi-discrete column.
 
-The integrator is backward Euler with step-doubling error control: each
-attempted step solves the implicit update once with dt and once as two
-half steps, keeps the half-step result, and scales the max-norm of the
-difference by (abs_tol + rel_tol*|s|) to decide acceptance and the next
-step size. Backward Euler is L-stable, so the fast diffusion scales of
-fine grids never limit the step; the first-order accuracy matches the
-spatial scheme. Each implicit stage is solved by Newton iteration with
-the analytic tridiagonal Jacobian and cyclic-reduction tridiagonal
-solves.
-
-Newton starts each stage of integrate() from a predictor rather than
-from the old state: the full step from the linear extrapolation of the
-last accepted step, s + (dt/dt_prev)*(s - s_prev) (s itself before the
-first accepted step); the first half step from the midpoint of s and
-the full-step solution; the second half step from the full-step
-solution. That saves about one linear solve per stage and leaves the
-converged stages, and so the controller's decisions, unchanged to
-within the Newton tolerance.
+The integrator is backward Euler, one implicit solve per step from the
+explicit-Euler predictor u0 + dt*f(u0), f = rhs. The local error
+ESTIMATE_SCALE * dt/2 * |f(u1) - f(u0)| (the predictor-corrector
+difference) over abs_tol + rel_tol*|u0| decides acceptance and the next
+step size. Both f values are Newton residual checks: f(u1), at the
+converged iterate, is f(u0) of the next step; the first step's f(u0) is
+its first iterate's, u0 itself. Backward Euler is L-stable, so fine
+grids never limit the step. Newton uses the analytic tridiagonal
+Jacobian and cyclic-reduction solves; from the predictor most steps
+converge after one linear solve.
 
 accepted_states() yields every accepted state with its scalars: mass,
 extrema and the two boundary fluxes. integrate() records them all in a
@@ -33,6 +25,7 @@ with the last accepted state and time.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -49,6 +42,11 @@ GROWTH_CAP = 10.0
 # On rejection the step shrinks at least this much even for wild error
 # estimates.
 SHRINK_CAP = 0.1
+# Backward Euler's local error is about dt/2*|f(u1) - f(u0)| (Hairer &
+# Wanner, Solving ODEs II). Doubled, it holds each step's error at tol/2,
+# the error per unit time of step doubling (two half steps checked
+# against one full step) at the same tol, and so its global error.
+ESTIMATE_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -170,16 +168,19 @@ class Trace:
 
 def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
                   p: Parameters, bc: BoundarySpec, settings: SolverSettings,
-                  start: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
+                  start: Optional[np.ndarray] = None) -> tuple:
     """Solve u - s_old - dt*rhs(u) = 0 from start (default s_old);
-    returns (u, iterations used)."""
+    returns (u, iterations used, rhs at start, rhs at u), both at t_new."""
     u = (s_old if start is None else start).copy()
+    f_start = None
     for it in range(1, settings.newton_max_iter + 1):
         state = State(time=t_new, s=u)
-        residual = u - s_old - dt * rhs(state, grid, p, bc)
+        f = rhs(state, grid, p, bc)
+        f_start = f if f_start is None else f_start
+        residual = u - s_old - dt * f
         bound = settings.newton_tol * (1.0 + np.abs(u).max())
         if np.abs(residual).max() < bound:
-            return u, it
+            return u, it, f_start, f
         jac = jacobian(state, grid, p, bc)
         # Newton matrix of the implicit update: I - dt * d(rhs)/ds.
         system = tridiag.Tridiagonal(
@@ -204,14 +205,16 @@ def newton_step(state: State, dt: float, grid: Grid, p: Parameters,
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    u, iters = _newton_solve(state.s, state.time + dt, dt, grid, p, bc, settings)
+    u, iters, _, _ = _newton_solve(state.s, state.time + dt, dt, grid, p, bc,
+                                   settings)
     return State(time=state.time + dt, s=u), iters
 
 
-def _error_estimate(big: np.ndarray, fine: np.ndarray, s_old: np.ndarray,
-                    settings: SolverSettings) -> float:
+def _error_estimate(dt: float, f_new: np.ndarray, f_old: np.ndarray,
+                    s_old: np.ndarray, settings: SolverSettings) -> float:
+    """Local error over tolerance of a step from f_old to f_new = rhs."""
     scale = settings.abs_tol + settings.rel_tol * np.abs(s_old)
-    return float((np.abs(big - fine) / scale).max())
+    return ESTIMATE_SCALE * 0.5 * dt * float((np.abs(f_new - f_old) / scale).max())
 
 
 def accepted_states(initial: State, t_end: float, output_times: Sequence[float],
@@ -261,9 +264,8 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     # A state is yielded once the step after it is accepted, so that the
     # last one can carry the failure reason.
     pending = accepted(t, s)
-    # State before the last accepted step, and that step's size.
-    s_prev: Optional[np.ndarray] = None
-    dt_prev = 0.0
+    # rhs at the current state, once a stage has evaluated it there.
+    f_old: Optional[np.ndarray] = None
     dt_next = min(max(settings.dt_init, settings.dt_min), settings.dt_max)
     target_idx = 0
     while target_idx < len(targets) and failure is None:
@@ -280,27 +282,24 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
         while True:
             hit = dt_attempt >= gap
             dt_try = gap if hit else dt_attempt
-            guess = s if s_prev is None else s + dt_try * ((s - s_prev) / dt_prev)
+            # On the target exactly, so its recorded fluxes are the applied ones.
+            t_new = target if hit else t + dt_try
+            guess = s if f_old is None else s + dt_try * f_old
             try:
-                big, it_big = _newton_solve(s, t + dt_try, dt_try, grid, p, bc,
-                                            settings, guess)
-                half = 0.5 * dt_try
-                mid, it_mid = _newton_solve(s, t + half, half, grid, p, bc,
-                                            settings, 0.5 * (s + big))
-                fine, it_fin = _newton_solve(mid, t + dt_try, half, grid, p, bc,
-                                             settings, big)
+                u, iters, f_start, f_new = _newton_solve(
+                    s, t_new, dt_try, grid, p, bc, settings, guess)
             except NewtonError as exc:
                 dt_attempt = 0.5 * dt_try
                 if dt_attempt < settings.dt_min:
                     failure = f"step size underflow after Newton failure: {exc}"
                     break
                 continue
-            err = _error_estimate(big, fine, s, settings)
+            f_old = f_start if f_old is None else f_old
+            err = _error_estimate(dt_try, f_new, f_old, s, settings)
             if err <= 1.0:
-                t = target if hit else t + dt_try
-                s_prev, dt_prev, s = s, dt_try, fine
+                t, s, f_old = t_new, u, f_new
                 yield pending
-                pending = accepted(t, s, dt_try, it_big + it_mid + it_fin, err)
+                pending = accepted(t, s, dt_try, iters, err)
                 if hit:
                     target_idx += 1
                 factor = GROWTH_CAP if err == 0.0 else min(
@@ -319,21 +318,22 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
 def record(states: Iterable[Accepted]) -> Trace:
     """The Trace of a run's accepted states: every state's time, step
     and scalars, and the profiles of its output states and its last."""
-    scalars = []
+    # Nine doubles a state: 72 bytes, where a tuple of floats takes ~350.
+    scalars = array("d")
     kept: list[int] = []
     profiles = []
-    for state in states:
+    for i, state in enumerate(states):
         if state.output:
-            kept.append(len(scalars))
+            kept.append(i)
             profiles.append(state.s)
-        scalars.append((state.time, state.dt, state.newton_iters, state.error,
+        scalars.extend((state.time, state.dt, state.newton_iters, state.error,
                         state.mass, state.s_min, state.s_max, state.flux_bottom,
                         state.flux_top))
-    if kept[-1] != len(scalars) - 1:
-        kept.append(len(scalars) - 1)
+    if kept[-1] != i:
+        kept.append(i)
         profiles.append(state.s)
     (times, step_dt, step_iters, step_err, mass, s_min, s_max, flux_bottom,
-     flux_top) = np.array(scalars).T
+     flux_top) = np.frombuffer(scalars).reshape(-1, 9).T
     return Trace(
         times=times,
         kept=np.array(kept),

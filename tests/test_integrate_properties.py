@@ -90,11 +90,6 @@ def columns(draw):
     return (initial, t_end, outputs, grid, p, bc), outputs
 
 
-def _sealed(bc: BoundarySpec) -> bool:
-    return all(isinstance(end, Flux) and _bounds(end.value) == (0.0, 0.0)
-               for end in (bc.top, bc.bottom))
-
-
 def _drains(bc: BoundarySpec) -> bool:
     """True when a Flux end can take water out: a negative value at the
     top, a positive one at the bottom."""
@@ -124,11 +119,10 @@ def test_integrate_contract(column):
     assert trace.times[-1] == args[1]
 
     # mass changes only through the ends, up to the Newton residual
-    if _sealed(bc):
-        steps = len(trace) - 1
-        drift = mass_balance_audit(trace, grid, p, bc)
-        assert np.max(np.abs(drift)) <= steps * grid.n_cells * \
-            SolverSettings().newton_tol
+    steps = len(trace) - 1
+    drift = mass_balance_audit(trace, grid, p, bc)
+    assert np.max(np.abs(drift)) <= steps * grid.n_cells * \
+        SolverSettings().newton_tol
 
     # nonnegative data and no draining end keep the column nonnegative
     if initial.s.min() >= 0.0 and not _drains(bc):

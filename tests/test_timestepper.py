@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from soilcolumn.discretization import State, build_grid, no_flux
+from soilcolumn import timestepper
+from soilcolumn.discretization import State, build_grid, no_flux, rhs
 from soilcolumn.model import Parameters
 from soilcolumn.scenarios import example1, example3
 from soilcolumn.timestepper import (
-    COMPLETED, FAILED, SolverSettings, _newton_solve, integrate, newton_step)
+    COMPLETED, FAILED, SolverSettings, Trace, _newton_solve, accepted_states,
+    integrate, newton_step, record)
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 
@@ -56,7 +58,6 @@ class TestNewtonStep:
         np.testing.assert_allclose(new.s, expected, rtol=1e-12)
 
     def test_small_step_consistency(self):
-        from soilcolumn.discretization import rhs
         g = build_grid(5.0, 0.1)
         state = State(0.0, np.asarray(example1().ic(g.centers), float))
         slope = np.max(np.abs(rhs(state, g, SANDY, no_flux())))
@@ -75,11 +76,17 @@ class TestNewtonStep:
         g = scn.build_grid()
         s_old = scn.initial_state(g).s
         args = (s_old, 0.01, 0.01, g, scn.params, scn.bc, SolverSettings())
-        u, iters = _newton_solve(*args)
+        u, iters, f_start, f = _newton_solve(*args)
         assert iters > 1
-        again, iters = _newton_solve(*args, u)
+        # the first residual check is at the start, the last at u
+        np.testing.assert_array_equal(
+            f_start, rhs(State(0.01, s_old), g, scn.params, scn.bc))
+        again, iters, f_again, f_end = _newton_solve(*args, u)
         assert iters == 1
         np.testing.assert_array_equal(again, u)
+        # started at the solution, both checks are the one at u
+        assert f_again is f_end
+        np.testing.assert_array_equal(f_end, f)
 
     def test_huge_diffusion_step_keeps_max_principle(self):
         # unconditional stability: dt at 1000x the explicit diffusion limit
@@ -219,11 +226,35 @@ class TestIntegrate:
         assert slip <= g.n_cells * settings.newton_tol
 
     def test_predictor_keeps_stages_near_one_solve(self, ex1_to_t5):
-        # a stage started from its predictor converges after one linear
-        # solve (two iterations); from the old state it needs two solves
+        # each step is one stage; started from its predictor it converges
+        # after one linear solve (two iterations), from the old state it
+        # needs two solves
         _, _, trace, _ = ex1_to_t5
-        stages = 3 * (len(trace) - 1)
-        assert trace.step_newton_iters.sum() <= 2.1 * stages
+        steps = len(trace) - 1
+        assert trace.step_newton_iters.sum() <= 2.1 * steps
+
+    def test_error_estimate_adds_no_rhs_call(self, monkeypatch):
+        # the estimate reuses the rhs of Newton's residual checks, so a
+        # run without rejections evaluates rhs once per Newton iteration
+        calls = {"rhs": 0, "stage": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(timestepper, "rhs", counted("rhs", timestepper.rhs))
+        monkeypatch.setattr(timestepper, "_newton_solve",
+                            counted("stage", timestepper._newton_solve))
+        scn = example1()
+        g = scn.build_grid()
+        # dt_init=1e-4 is rejected once on this profile; 1e-5 is not
+        trace = integrate(scn.initial_state(g), 0.05, [0.05], g, scn.params,
+                          scn.bc, SolverSettings(dt_init=1e-5))
+        assert trace.status == COMPLETED
+        assert calls["stage"] == len(trace) - 1  # no step was rejected
+        assert calls["rhs"] == trace.step_newton_iters.sum()
 
     def test_tolerance_monotonicity_on_redistribution(self):
         # tightening rel_tol by decades may only move the solution
@@ -240,6 +271,44 @@ class TestIntegrate:
         deviations = [float(np.max(np.abs(finals[rel] - ref)))
                       for rel in (1e-4, 1e-5, 1e-6)]
         assert deviations[0] >= deviations[1] >= deviations[2]
+
+
+def tuple_record(states):
+    """record() built from a tuple of Python floats per state: the
+    reference for the buffer record() fills."""
+    states = list(states)
+    scalars = np.array([(a.time, a.dt, a.newton_iters, a.error, a.mass, a.s_min,
+                         a.s_max, a.flux_bottom, a.flux_top) for a in states]).T
+    kept = [i for i, a in enumerate(states) if a.output]
+    if kept[-1] != len(states) - 1:
+        kept.append(len(states) - 1)
+    last = states[-1]
+    return Trace(times=scalars[0], kept=np.array(kept),
+                 profiles=np.array([states[i].s for i in kept]),
+                 mass=scalars[4], s_min=scalars[5], s_max=scalars[6],
+                 flux_bottom=scalars[7], flux_top=scalars[8],
+                 step_dt=scalars[1][1:],
+                 step_newton_iters=scalars[2][1:].astype(int),
+                 step_error=scalars[3][1:],
+                 status=COMPLETED if last.failure is None else FAILED,
+                 failure_time=None if last.failure is None else last.time,
+                 failure_reason=last.failure)
+
+
+@pytest.mark.parametrize("t_end, outputs", [(0.3, [0.1, 0.3]), (0.3, [0.1])],
+                         ids=["ends-on-output", "ends-between"])
+def test_record_matches_tuple_record(t_end, outputs):
+    scn = example3(kappa=0.01)
+    g = scn.build_grid()
+    states = list(accepted_states(scn.initial_state(g), t_end, outputs, g,
+                                  scn.params, scn.bc))
+    got, want = record(states), tuple_record(states)
+    for field in vars(want):
+        a, b = getattr(got, field), getattr(want, field)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        else:
+            assert a == b, field
 
 
 def test_trace_state_lookup():

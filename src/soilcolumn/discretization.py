@@ -110,13 +110,21 @@ class Dirichlet(_Prescribed):
 
     def flux_and_slope(self, end: str, s_cell: float, t: float, dz: float,
                        p: Parameters) -> tuple[float, float]:
+        s_cell = float(s_cell)
         ghost = 2.0 * self.value_at(t) - s_cell
+        # The gravity term is upwinded from the ghost at the top and from
+        # the cell at the bottom: gravity_flux and its derivative, done
+        # once on floats. Like positive_part, r <= 0 gives 0.0 and a NaN
+        # passes through.
+        r = (ghost if end == TOP else s_cell) - p.s_bar
+        r = 0.0 if r <= 0.0 else r
+        gravity, slope = p.alpha_g * r * r, 2.0 * p.alpha_g * r
         # The ghost moves opposite to the cell, d(ghost)/d(s_cell) = -1.
         if end == TOP:
-            return (p.kappa * (ghost - s_cell) / dz + gravity_flux(ghost, p),
-                    -2.0 * p.kappa / dz - gravity_flux_derivative(ghost, p))
-        return (p.kappa * (s_cell - ghost) / dz + gravity_flux(s_cell, p),
-                2.0 * p.kappa / dz + gravity_flux_derivative(s_cell, p))
+            return (p.kappa * (ghost - s_cell) / dz + gravity,
+                    -2.0 * p.kappa / dz - slope)
+        return (p.kappa * (s_cell - ghost) / dz + gravity,
+                2.0 * p.kappa / dz + slope)
 
 
 @dataclass(frozen=True)
@@ -195,14 +203,21 @@ def face_fluxes(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> np
     s = state.s
     n = grid.n_cells
     flux = np.empty(n + 1)
-    flux[1:n] = p.kappa * (s[1:] - s[:-1]) / grid.dz + gravity_flux(s[1:], p)
+    # kappa * (s[1:] - s[:-1]) / dz + gravity_flux(s[1:]), built in place.
+    inner = np.subtract(s[1:], s[:-1], flux[1:n])
+    inner *= p.kappa
+    inner /= grid.dz
+    inner += gravity_flux(s[1:], p)
     flux[0], flux[n] = boundary_fluxes(state, grid, p, bc)
     return flux
 
 
 def rhs(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> np.ndarray:
     """Semi-discrete time derivative, ds_i/dt = (F_above - F_below) / dz."""
-    return np.diff(face_fluxes(state, grid, p, bc)) / grid.dz
+    flux = face_fluxes(state, grid, p, bc)
+    ds_dt = flux[1:] - flux[:-1]
+    ds_dt /= grid.dz
+    return ds_dt
 
 
 def jacobian(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> Tridiagonal:
@@ -212,21 +227,25 @@ def jacobian(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> Tridi
     upwinded transport slope on the diagonal and the upper diagonal.
     The transport contribution to the upper diagonal is nonnegative,
     which is the monotonicity of the upwind choice.
+
+    Every call returns three new arrays that nothing else holds, so the
+    caller may overwrite them; the Newton iteration scales them in place
+    into its matrix I - dt*J.
     """
     s = state.s
     t = state.time
     dz = grid.dz
     n = grid.n_cells
     k = p.kappa
-    gp = gravity_flux_derivative(s, p)
+    gp_dz = gravity_flux_derivative(s, p) / dz
 
     kdz2 = k / (dz * dz)
-    diag = -2.0 * kdz2 - gp / dz
+    diag = -2.0 * kdz2 - gp_dz
     lower = np.full(n - 1, kdz2)
-    upper = kdz2 + gp[1:] / dz
+    upper = kdz2 + gp_dz[1:]
 
     # Boundary rows: drop the missing outer coupling, add the BC slope.
-    diag[0] += kdz2 + gp[0] / dz
+    diag[0] += kdz2 + gp_dz[0]
     diag[0] -= bc.bottom.flux_and_slope(BOTTOM, s[0], t, dz, p)[1] / dz
     diag[n - 1] += kdz2
     diag[n - 1] += bc.top.flux_and_slope(TOP, s[n - 1], t, dz, p)[1] / dz

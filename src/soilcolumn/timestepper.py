@@ -177,19 +177,23 @@ def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
         state = State(time=t_new, s=u)
         f = rhs(state, grid, p, bc)
         f_start = f if f_start is None else f_start
-        residual = u - s_old - dt * f
+        residual = u - s_old
+        residual -= dt * f
         bound = settings.newton_tol * (1.0 + np.abs(u).max())
         if np.abs(residual).max() < bound:
             return u, it, f_start, f
-        jac = jacobian(state, grid, p, bc)
-        # Newton matrix of the implicit update: I - dt * d(rhs)/ds.
-        system = tridiag.Tridiagonal(
-            lower=-dt * jac.lower, diag=1.0 - dt * jac.diag, upper=-dt * jac.upper)
+        # Newton matrix of the implicit update, I - dt * d(rhs)/ds, built
+        # in the arrays jacobian returns.
+        system = jacobian(state, grid, p, bc)
+        system.lower *= -dt
+        system.diag *= dt
+        np.subtract(1.0, system.diag, system.diag)
+        system.upper *= -dt
         try:
-            delta = tridiag.solve(system, -residual)
+            delta = tridiag.solve(system, np.negative(residual, residual))
         except tridiag.SingularMatrixError as exc:
             raise NewtonError(str(exc)) from exc
-        u = u + delta
+        u += delta
         if not np.isfinite(u).all():
             raise NewtonError(f"non-finite iterate at t={t_new}")
     raise NewtonError(

@@ -52,13 +52,12 @@ def _dominant_depth(rho: float) -> int:
 def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Solve tri @ x = rhs by odd-even cyclic reduction (no pivoting).
 
-    The system is padded with identity rows to m = 2**L - 1 rows, so
-    every level splits the same way: the even-indexed rows are
-    eliminated from their odd-indexed neighbours, which leaves a
-    tridiagonal system of (m - 1) / 2 rows in the odd unknowns. After
-    L - 1 levels one row is left; back-substitution then recovers the
-    even unknowns of each level from its stored rows. That is the O(n)
-    work of Gaussian elimination done in log2(n) vectorised passes.
+    Each level eliminates the even-indexed rows from their odd-indexed
+    neighbours, which leaves a tridiagonal system of (m - 1) / 2 rows in
+    the odd unknowns. When the last level is reached, its rows are
+    solved directly; back-substitution then recovers the even unknowns
+    of each level from its stored rows. That is the O(n) work of
+    Gaussian elimination done in at most log2(n) vectorised passes.
     Without pivoting it is stable on diagonally dominant matrices, such
     as the M-matrix I - dt*J of the implicit step.
 
@@ -68,7 +67,14 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     k = ceil(log2(log(2**-53) / log(rho))) levels they are within the
     unit round-off 2**-53 and each remaining row is solved as x = d / b.
     Otherwise (rho >= 1, or not finite) the reduction runs to its single
-    row.
+    row, after L - 1 levels for an n of L bits.
+
+    The depth is fixed from the unpadded rows first. The system is then
+    padded with identity rows to the fewest rows that this depth splits
+    evenly, m = 2**depth * ceil((n + 1) / 2**depth) - 1, which leaves
+    ceil((n + 1) / 2**depth) - 1 rows on the last level; at full depth
+    that is m = 2**L - 1 and one row. Identity rows are uncoupled from
+    the system, so the first n unknowns do not depend on their number.
 
     Raises ValueError when rhs does not match the matrix size, and
     SingularMatrixError when a pivot vanishes or the solution is not
@@ -77,47 +83,57 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     n = tri.diag.size
     if rhs.size != n:
         raise ValueError(f"rhs length {rhs.size} != matrix size {n}")
-    m = (1 << n.bit_length()) - 1
-    # Row i reads -a[i]*x[i-1] + b[i]*x[i] - c[i]*x[i+1] = d[i]: with the
-    # off-diagonals stored negated, the reduction needs no negations.
-    a = np.zeros(m)
-    b = np.ones(m)
-    c = np.zeros(m)
-    d = np.zeros(m)
-    np.negative(tri.lower, out=a[1:n])
-    b[:n] = tri.diag
-    np.negative(tri.upper, out=c[:n - 1])
-    d[:n] = rhs
-
-    levels = [(a, b, c, d)]
     # A zero pivot turns its own unknown into inf or nan, so the
     # finiteness check on the solution catches it without a test per level.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        depth = m.bit_length() - 1
-        rho = ((np.abs(a) + np.abs(c)) / np.abs(b)).max()
+        off = np.zeros(n)
+        np.abs(tri.lower, off[1:])
+        off[:-1] += np.abs(tri.upper)
+        off /= np.abs(tri.diag)
+        rho = off.max()
+        depth = n.bit_length() - 1
         if 0.0 <= rho < 1.0:
             depth = min(depth, _dominant_depth(rho))
+        m = (((n >> depth) + 1) << depth) - 1
+        # Row i reads -a[i]*x[i-1] + b[i]*x[i] - c[i]*x[i+1] = d[i]: with
+        # the off-diagonals stored negated, the reduction needs no
+        # negations.
+        a = np.zeros(m)
+        b = np.ones(m)
+        c = np.zeros(m)
+        d = np.zeros(m)
+        np.negative(tri.lower, a[1:n])
+        b[:n] = tri.diag
+        np.negative(tri.upper, c[:n - 1])
+        d[:n] = rhs
+
+        levels = [(a, b, c, d)]
         for _ in range(depth):
             alpha = a[1::2] / b[:-1:2]
             beta = c[1::2] / b[2::2]
-            a, b, c, d = (
-                alpha * a[:-1:2],
-                b[1::2] - alpha * c[:-1:2] - beta * a[2::2],
-                beta * c[2::2],
-                d[1::2] + alpha * d[:-1:2] + beta * d[2::2],
-            )
+            # b' = b - alpha*c - beta*a and d' = d + alpha*d + beta*d of
+            # the neighbours, each summed left to right into its own array.
+            b_next = alpha * c[:-1:2]
+            np.subtract(b[1::2], b_next, b_next)
+            b_next -= beta * a[2::2]
+            d_next = alpha * d[:-1:2]
+            np.add(d[1::2], d_next, d_next)
+            d_next += beta * d[2::2]
+            a, b, c, d = alpha * a[:-1:2], b_next, beta * c[2::2], d_next
             levels.append((a, b, c, d))
         # x[r + 1] is the unknown of row r, between two zero borders. Row
         # j of the level with stride `step` is row (j + 1) * step / 2 - 1,
         # so its even rows sit at step/2, 3*step/2, ... and their
         # neighbours, solved one level up, half a stride to either side.
-        # The top level's off-diagonals are zero or within round-off.
+        # The last level's off-diagonals are zero or within round-off.
         x = np.zeros(m + 2)
         step = 1 << depth
-        x[step:-1:step] = d / b
+        np.divide(d, b, x[step:-1:step])
         for a, b, c, d in reversed(levels[:-1]):
-            x[step // 2::step] = (
-                d[::2] + a[::2] * x[:-1:step] + c[::2] * x[step::step]) / b[::2]
+            even = a[::2] * x[:-1:step]
+            np.add(d[::2], even, even)
+            even += c[::2] * x[step::step]
+            np.divide(even, b[::2], x[step // 2::step])
             step //= 2
 
     x = x[1:n + 1]

@@ -6,7 +6,8 @@ import pytest
 from soilcolumn.discretization import (
     BOTTOM, MAX_CELLS, TOP, BoundarySpec, Dirichlet, Flux, Robin, State,
     build_grid, face_fluxes, jacobian, no_flux, rhs)
-from soilcolumn.model import Parameters
+from soilcolumn.model import (
+    Parameters, gravity_flux, gravity_flux_derivative)
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 
@@ -120,6 +121,26 @@ class TestBoundaryFlux:
         flux, slope = Robin(2.0, 0.1).flux_and_slope(TOP, 0.4, 0.0, 0.01, SANDY)
         assert flux < 0.0
         assert slope == -2.0
+
+    # The upwind value (the ghost at the top, the cell at the bottom) lies
+    # above, at and below s_bar; margin is upwind - s_bar.
+    @pytest.mark.parametrize("end", [TOP, BOTTOM])
+    @pytest.mark.parametrize("value", [0.55, lambda t: 0.3 + t])
+    @pytest.mark.parametrize("margin", [0.377, 0.0, -0.1])
+    def test_dirichlet_matches_model_bitwise(self, end, value, margin):
+        dz, t, s_cell = 0.01, 0.25, np.float64(0.61)
+        ghost = 2.0 * Dirichlet(value).value_at(t) - s_cell
+        upwind = ghost if end == TOP else s_cell
+        p = Parameters(kappa=0.005, alpha_g=0.7, s_bar=float(upwind - margin))
+        assert (upwind - p.s_bar > 0.0) == (margin > 0.0)
+        if end == TOP:
+            expected = (p.kappa * (ghost - s_cell) / dz + gravity_flux(ghost, p),
+                        -2.0 * p.kappa / dz - gravity_flux_derivative(ghost, p))
+        else:
+            expected = (p.kappa * (s_cell - ghost) / dz + gravity_flux(s_cell, p),
+                        2.0 * p.kappa / dz + gravity_flux_derivative(s_cell, p))
+        got = Dirichlet(value).flux_and_slope(end, s_cell, t, dz, p)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("beta,s_out", [(0.0, 0.5), (-1.0, 0.5),
                                             (1.0, -0.1), (1.0, 1.1),
@@ -256,6 +277,27 @@ class TestJacobian:
         jac = jacobian(state, g, SANDY, bc).to_dense()
         fd = dense_fd_jacobian(state, g, SANDY, bc)
         np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-7)
+
+    def test_returns_new_arrays(self):
+        # Newton scales the arrays in place, so no two calls may share them
+        g = build_grid(1.0, 0.1)
+        bc = BoundarySpec(top=Dirichlet(0.9), bottom=Robin(0.7, 0.3))
+        state = State(0.0, np.random.default_rng(9).uniform(0.0, 1.0, g.n_cells))
+        s_before = state.s.copy()
+        first, second = (jacobian(state, g, SANDY, bc) for _ in range(2))
+        arrays = [first.lower, first.diag, first.upper,
+                  second.lower, second.diag, second.upper]
+        for i, x in enumerate(arrays):
+            assert x.flags.owndata
+            assert not np.shares_memory(x, state.s)
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+        for x in arrays[:3]:
+            x *= -0.5
+        third = jacobian(state, g, SANDY, bc)
+        for x, y in zip(arrays[3:], (third.lower, third.diag, third.upper)):
+            assert x.tobytes() == y.tobytes()
+        assert state.s.tobytes() == s_before.tobytes()
 
 
 def test_grid_state_shape_mismatch():

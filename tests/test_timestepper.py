@@ -88,6 +88,35 @@ class TestNewtonStep:
         assert f_again is f_end
         np.testing.assert_array_equal(f_end, f)
 
+    @pytest.mark.parametrize("predicted", [False, True])
+    def test_newton_solve_leaves_inputs_unmodified(self, predicted):
+        scn = example1()
+        g = scn.build_grid()
+        s_old = scn.initial_state(g).s
+        dt = 0.01
+        start = None
+        if predicted:
+            start = s_old + dt * rhs(State(dt, s_old), g, scn.params, scn.bc)
+        inputs = [x for x in (s_old, start) if x is not None]
+        before = [x.copy() for x in inputs]
+        u, iters, _, _ = _newton_solve(s_old, dt, dt, g, scn.params, scn.bc,
+                                       SolverSettings(), start)
+        assert iters > 1
+        for x, y in zip(inputs, before):
+            assert x.tobytes() == y.tobytes()
+            assert not np.shares_memory(u, x)
+
+    # s = 0.2 is below s_bar, so the sealed column is at rest and the step
+    # converges at its first residual check; at 0.6 it needs solves
+    @pytest.mark.parametrize("level,first_check", [(0.2, True), (0.6, False)])
+    def test_newton_step_returns_a_new_profile(self, level, first_check):
+        g = build_grid(5.0, 0.1)
+        state = State(0.0, np.full(g.n_cells, level))
+        new, iters = newton_step(state, 0.5, g, SANDY, no_flux(), SolverSettings())
+        assert (iters == 1) == first_check
+        assert not np.shares_memory(new.s, state.s)
+        assert (state.s == level).all()
+
     def test_huge_diffusion_step_keeps_max_principle(self):
         # unconditional stability: dt at 1000x the explicit diffusion limit
         p = Parameters(kappa=0.005, alpha_g=0.0, s_bar=0.0)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import soilcolumn
 from soilcolumn.discretization import jacobian
 from soilcolumn.scenarios import example3
-from soilcolumn.tridiag import SingularMatrixError, Tridiagonal, solve
+from soilcolumn.tridiag import (
+    SingularMatrixError, Tridiagonal, _dominant_depth, solve)
 
 
 def random_system(rng, n):
@@ -26,7 +27,9 @@ def random_system(rng, n):
     return Tridiagonal(lower=lower, diag=diag, upper=upper)
 
 
-# Sizes on both sides of the 2**k - 1 rows the reduction pads to.
+# Sizes on both sides of 2**k - 1, the rows a full-depth reduction pads
+# to; test_solution_ignores_identity_rows covers the shorter pads of an
+# early stop.
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 10, 500, 511, 512, 513])
 def test_solve_matches_dense(n):
     rng = np.random.default_rng(n)
@@ -64,6 +67,59 @@ def test_laplacian_takes_full_depth():
     # condition number about 1e5: both solves carry that much round-off
     assert max_relative_error(solve(tri, b),
                               np.linalg.solve(tri.to_dense(), b)) <= 1e-11
+
+
+def with_identity_rows(tri, b, k):
+    """tri and b extended by k rows of the identity, uncoupled from tri."""
+    zeros = np.zeros(k)
+    return (Tridiagonal(lower=np.concatenate([tri.lower, zeros]),
+                        diag=np.concatenate([tri.diag, np.ones(k)]),
+                        upper=np.concatenate([tri.upper, zeros])),
+            np.concatenate([b, zeros]))
+
+
+def dominant_system(rng, n, depth):
+    """A system whose rho stops the reduction after `depth` levels."""
+    # rho**(2**depth) = 2**(-4/3*53) and rho**(2**(depth-1)) = 2**(-2/3*53);
+    # the off-diagonal row sums fall in [rho/2, rho].
+    rho = 2.0 ** (-53.0 / (0.75 * 2 ** depth))
+    lower, upper = (0.25 * rho * rng.uniform(1.0, 2.0, size=(2, n - 1))
+                    * rng.choice([-1.0, 1.0], size=(2, n - 1)))
+    tri = Tridiagonal(lower=lower, diag=np.ones(n), upper=upper)
+    rows = np.abs(np.concatenate([[0.0], lower])) + np.abs(np.append(upper, 0.0))
+    assert _dominant_depth(rows.max()) == depth
+    return tri
+
+
+def assert_same_solution(tri, b, extra_rows):
+    x = solve(tri, b)
+    for k in extra_rows:
+        padded = solve(*with_identity_rows(tri, b, k))
+        assert padded[:tri.n].tobytes() == x.tobytes(), k
+        assert not padded[tri.n:].any()
+
+
+# The reduction pads to 2**d * q - 1 rows after an early stop at depth d;
+# n on both sides of that, extended past it and past the next multiple.
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 5])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_solution_ignores_identity_rows(depth, q, offset):
+    n = 2 ** depth * q - 1 + offset
+    rng = np.random.default_rng([depth, q, offset + 1])
+    tri = dominant_system(rng, n, depth)
+    assert_same_solution(tri, rng.normal(size=n),
+                         [1, 2, 2 ** depth - 1, 2 ** depth, 2 ** depth + 1, 3 * n])
+
+
+# rho = 1 from n = 3 on: the reduction runs to full depth, one level more
+# once the identity rows add a bit to the row count.
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 31, 32, 33, 255, 256, 257])
+def test_full_depth_ignores_identity_rows(n):
+    tri = Tridiagonal(lower=-np.ones(n - 1), diag=np.full(n, 2.0),
+                      upper=-np.ones(n - 1))
+    b = np.random.default_rng(n).normal(size=n)
+    assert_same_solution(tri, b, [1, 2, n, n + 1, 4 * n])
 
 
 def test_matvec_roundtrip():

@@ -17,11 +17,9 @@ from .diagnostics import (
     OracleInvalidError,
     characteristics_oracle,
     detect_event,
-    extrema_series,
     instability_metrics,
     mass_balance_audit,
     mass_integral,
-    mass_series,
 )
 from .discretization import (
     BoundarySpec,
@@ -56,7 +54,6 @@ from .timestepper import (
     Trace,
     accepted_states,
     integrate,
-    newton_step,
     record,
 )
 
@@ -68,9 +65,8 @@ __all__ = [
     "PiecewiseLinearIC", "Robin", "Scenario", "SolverSettings", "State",
     "Trace", "FRONT_DEPTH", "MAX_BELOW_SBAR", "MAXMIN_BELOW_GAP",
     "accepted_states", "build_grid", "characteristics_oracle", "detect_event",
-    "example1", "example2", "example3", "extrema_series", "gravity_flux",
+    "example1", "example2", "example3", "gravity_flux",
     "gravity_flux_derivative", "ic_from_breakpoints", "instability_metrics",
-    "integrate", "mass_balance_audit", "mass_integral", "mass_series",
-    "newton_step", "no_flux", "positive_part", "record", "rhs",
-    "sandy_loam_sbar",
+    "integrate", "mass_balance_audit", "mass_integral", "no_flux",
+    "positive_part", "record", "rhs", "sandy_loam_sbar",
 ]

@@ -33,7 +33,7 @@ from typing import Optional
 from . import diagnostics, scenarios
 from .discretization import BoundarySpec, Dirichlet, Flux, Robin, no_flux
 from .model import Parameters
-from .timestepper import FAILED, SolverSettings, Trace, integrate
+from .timestepper import FAILED, SolverSettings, integrate
 
 # Events every run reports: the stickiness threshold crossing of the
 # column maximum, the settling of the max-min gap, and the final wetting
@@ -55,10 +55,6 @@ _SOLVER_KEYS = ("rel_tol", "abs_tol", "dt_init", "dt_min", "dt_max",
 _TOP_KEYS = ("scenario", "params", "ic", "bc", "grid", "t_end",
              "output_times", "set", "solver")
 _END_CONDITIONS = {"dirichlet": Dirichlet, "flux": Flux, "robin": Robin}
-# Parameters fields of an inline configuration, for the keys its params
-# leave out.
-_INLINE_PARAMS = dict(kappa=0.005, alpha_g=0.5,
-                      s_bar=scenarios.sandy_loam_sbar(), depth_h=5.0)
 
 
 class ConfigError(ValueError):
@@ -188,21 +184,23 @@ def _resolve(doc: dict) -> tuple[scenarios.Scenario, SolverSettings, dict]:
         if inline:
             raise _fail("config", f"scenario and inline fields {inline} are exclusive")
         base = _built(scenarios.by_name, "scenario", name=name)
-        fields, d, ic, bc = dataclasses.asdict(base.params), base.d, base.ic, base.bc
-        t_end, preset_times = base.t_end, base.output_times
+        ic, bc, t_end, preset_times = base.ic, base.bc, base.t_end, base.output_times
     elif "ic" not in doc or "t_end" not in doc:
         raise _fail("config", "need a scenario name, or an inline ic and t_end")
     else:
-        fields, d, preset_times = dict(_INLINE_PARAMS), 0.01, ()
+        # An inline column takes the values its document leaves out from
+        # the presets' column.
+        base, preset_times = scenarios.example1(), ()
         ic = _built(scenarios.ic_from_breakpoints, "ic", points=_breakpoints(doc["ic"]))
         bc = no_flux()
         if "bc" in doc:
             ends = _check_keys(doc["bc"], ("top", "bottom"), "bc")
             bc = BoundarySpec(top=_end_condition(ends.get("top"), "bc.top"),
                               bottom=_end_condition(ends.get("bottom"), "bc.bottom"))
-        if "grid" in doc:
-            d = _number(_check_keys(doc["grid"], ("d",), "grid").get("d"), "grid.d")
 
+    fields, d = dataclasses.asdict(base.params), base.d
+    if "grid" in doc:
+        d = _number(_check_keys(doc["grid"], ("d",), "grid").get("d"), "grid.d")
     sets = _numbers(doc.get("set", {}), _SET_KEYS, "set")
     numbers = {**_numbers(doc.get("params", {}), tuple(_PARAM_KEYS), "params"), **sets}
     fields.update({field: scale * numbers[key]
@@ -261,10 +259,14 @@ def _write_csv(path: Path, header: str, rows) -> None:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _write_artifacts(out: Path, scenario, echo: dict, trace: Trace) -> dict:
-    """Write the artifact set for one finished (or failed) run."""
+def _execute(resolved, out: Path) -> tuple[int, dict]:
+    """Run one resolved configuration and write its artifact set to out;
+    returns the exit status and the events.json summary."""
+    scenario, settings, echo = resolved
     grid = scenario.build_grid()
-    p = scenario.params
+    p, bc = scenario.params, scenario.bc
+    trace = integrate(scenario.initial_state(grid), scenario.t_end,
+                      scenario.output_times, grid, p, bc, settings)
 
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -275,22 +277,15 @@ def _write_artifacts(out: Path, scenario, echo: dict, trace: Trace) -> dict:
             continue  # failed run: requested time past the failure point
         rows.extend((state.time, z, s) for z, s in zip(grid.centers, state.s))
     _write_csv(out / "profiles.csv", "t,z,s", rows)
-
-    drift = diagnostics.mass_balance_audit(trace, grid, p, scenario.bc)
-    mass = diagnostics.mass_series(trace, grid)
-    _write_csv(out / "mass.csv", "t,mass,drift",
-               zip(trace.times, mass, drift))
-    s_min, s_max = diagnostics.extrema_series(trace)
+    drift = diagnostics.mass_balance_audit(trace, grid, p, bc)
+    _write_csv(out / "mass.csv", "t,mass,drift", zip(trace.times, trace.mass, drift))
     _write_csv(out / "extrema.csv", "t,s_min,s_max",
-               zip(trace.times, s_min, s_max))
+               zip(trace.times, trace.s_min, trace.s_max))
 
     events = []
-    specs = [
-        (diagnostics.MAX_BELOW_SBAR, p.s_bar),
-        (diagnostics.MAXMIN_BELOW_GAP, GAP_THRESHOLD),
-        (diagnostics.FRONT_DEPTH, FRONT_THRESHOLD),
-    ]
-    for kind, threshold in specs:
+    for kind, threshold in ((diagnostics.MAX_BELOW_SBAR, p.s_bar),
+                            (diagnostics.MAXMIN_BELOW_GAP, GAP_THRESHOLD),
+                            (diagnostics.FRONT_DEPTH, FRONT_THRESHOLD)):
         report = diagnostics.detect_event(trace, kind, threshold, grid=grid)
         if report is not None:
             events.append({"kind": report.kind, "time": report.time,
@@ -306,7 +301,7 @@ def _write_artifacts(out: Path, scenario, echo: dict, trace: Trace) -> dict:
         },
         "final": {
             "time": final.time,
-            "mass": float(mass[-1]),
+            "mass": float(trace.mass[-1]),
             "drift": float(drift[-1]),
             "undershoot": metrics.undershoot,
             "overshoot": metrics.overshoot,
@@ -315,16 +310,6 @@ def _write_artifacts(out: Path, scenario, echo: dict, trace: Trace) -> dict:
     }
     (out / "events.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
-    return summary
-
-
-def _execute(resolved, out: Path) -> tuple[int, dict]:
-    scenario, settings, echo = resolved
-    grid = scenario.build_grid()
-    trace = integrate(scenario.initial_state(grid), scenario.t_end,
-                      scenario.output_times, grid, scenario.params, scenario.bc,
-                      settings)
-    summary = _write_artifacts(out, scenario, echo, trace)
     return (2 if trace.status == FAILED else 0), summary
 
 
@@ -340,18 +325,15 @@ def sweep(param: str, members: list, out_root: Path) -> int:
         code, summary = _execute(resolved, out_root / f"{param}={label}")
         any_success = any_success or code == 0
         events = {e["kind"]: e for e in summary["events"]}
-
-        def _event_time(kind):
-            return events[kind]["time"] if kind in events else ""
-
-        front = events.get(diagnostics.FRONT_DEPTH)
+        below_sbar, gap_below, front = (events.get(kind, {}) for kind in (
+            diagnostics.MAX_BELOW_SBAR, diagnostics.MAXMIN_BELOW_GAP,
+            diagnostics.FRONT_DEPTH))
         final = summary["final"]
         lines.append(",".join(str(v) for v in (
             label, summary["solver"]["status"], code, final["mass"],
             final["drift"], final["undershoot"], final["overshoot"],
-            final["zigzag"], _event_time(diagnostics.MAX_BELOW_SBAR),
-            _event_time(diagnostics.MAXMIN_BELOW_GAP),
-            front["value"] if front else "")))
+            final["zigzag"], below_sbar.get("time", ""),
+            gap_below.get("time", ""), front.get("value", ""))))
     (out_root / "sweep_summary.csv").write_text(header + "\n" + "\n".join(lines) + "\n")
     print(header, *lines, sep="\n")
     return 0 if any_success else 2

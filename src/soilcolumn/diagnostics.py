@@ -1,4 +1,4 @@
-"""Mass audits, extrema and event detection, and validation oracles."""
+"""Mass audits, event detection, profile metrics and validation oracles."""
 
 from __future__ import annotations
 
@@ -50,11 +50,6 @@ def mass_integral(state: State, grid: Grid) -> float:
     return grid.dz * float(np.sum(state.s))
 
 
-def mass_series(trace, grid: Grid) -> np.ndarray:
-    """mass_integral at every trace time, as integrate recorded it."""
-    return trace.mass
-
-
 def mass_balance_audit(trace, grid: Grid, p: Parameters,
                        bc: BoundarySpec) -> np.ndarray:
     """Mass drift against the boundary fluxes the solver applied.
@@ -72,13 +67,6 @@ def mass_balance_audit(trace, grid: Grid, p: Parameters,
     net = trace.flux_top - trace.flux_bottom
     inflow = np.concatenate(([0.0], np.cumsum(trace.step_dt * net[1:])))
     return mass - mass[0] - inflow
-
-
-def extrema_series(trace) -> tuple[np.ndarray, np.ndarray]:
-    """(s_min, s_max) over the cells at every trace time."""
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    return trace.s_min, trace.s_max
 
 
 def _cross_time(times: np.ndarray, series: np.ndarray, threshold: float,
@@ -110,16 +98,14 @@ def detect_event(trace, kind: str, threshold: float,
     if len(trace) == 0:
         raise ValueError("empty trace")
     if kind == MAX_BELOW_SBAR:
-        _, s_max = extrema_series(trace)
-        below = np.nonzero(s_max < threshold)[0]
+        below = np.nonzero(trace.s_max < threshold)[0]
         if below.size == 0:
             return None
         k = int(below[0])
-        return EventReport(kind, _cross_time(trace.times, s_max, threshold, k),
-                           threshold)
+        return EventReport(
+            kind, _cross_time(trace.times, trace.s_max, threshold, k), threshold)
     if kind == MAXMIN_BELOW_GAP:
-        s_min, s_max = extrema_series(trace)
-        gap = s_max - s_min
+        gap = trace.s_max - trace.s_min
         above = np.nonzero(gap >= threshold)[0]
         if above.size == 0:
             return EventReport(kind, float(trace.times[0]), threshold)

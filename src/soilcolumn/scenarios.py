@@ -83,10 +83,6 @@ class Scenario:
                 raise ValueError(
                     f"IC breakpoint z={z} outside [-{self.params.depth_h}, 0]")
 
-    @property
-    def grid_spec(self) -> tuple[float, float]:
-        return (self.params.depth_h, self.d)
-
     def build_grid(self) -> Grid:
         return build_grid(self.params.depth_h, self.d)
 

@@ -168,10 +168,11 @@ class Trace:
 
 def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
                   p: Parameters, bc: BoundarySpec, settings: SolverSettings,
-                  start: Optional[np.ndarray] = None) -> tuple:
-    """Solve u - s_old - dt*rhs(u) = 0 from start (default s_old);
-    returns (u, iterations used, rhs at start, rhs at u), both at t_new."""
-    u = (s_old if start is None else start).copy()
+                  start: np.ndarray) -> tuple:
+    """Solve u - s_old - dt*rhs(u) = 0 from start; returns (u, iterations
+    used, rhs at start, rhs at u), both at t_new. Raises NewtonError when
+    the iteration does not converge."""
+    u = start.copy()
     f_start = None
     for it in range(1, settings.newton_max_iter + 1):
         state = State(time=t_new, s=u)
@@ -198,20 +199,6 @@ def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
             raise NewtonError(f"non-finite iterate at t={t_new}")
     raise NewtonError(
         f"no convergence in {settings.newton_max_iter} iterations at t={t_new}")
-
-
-def newton_step(state: State, dt: float, grid: Grid, p: Parameters,
-                bc: BoundarySpec, settings: SolverSettings) -> tuple[State, int]:
-    """One backward-Euler stage from state over dt.
-
-    Raises NewtonError when the iteration does not converge; the caller
-    is expected to retry with a smaller step.
-    """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    u, iters, _, _ = _newton_solve(state.s, state.time + dt, dt, grid, p, bc,
-                                   settings)
-    return State(time=state.time + dt, s=u), iters
 
 
 def _error_estimate(dt: float, f_new: np.ndarray, f_old: np.ndarray,
@@ -270,7 +257,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     pending = accepted(t, s)
     # rhs at the current state, once a stage has evaluated it there.
     f_old: Optional[np.ndarray] = None
-    dt_next = min(max(settings.dt_init, settings.dt_min), settings.dt_max)
+    dt_next = settings.dt_init
     target_idx = 0
     while target_idx < len(targets) and failure is None:
         target = targets[target_idx]
@@ -278,40 +265,40 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
         if gap <= 0.0:
             target_idx += 1
             continue
-        dt_attempt = min(dt_next, gap)
+        dt = min(dt_next, gap)
         # Avoid leaving a sliver shorter than dt_min before the target.
-        if gap - dt_attempt < settings.dt_min:
-            dt_attempt = gap
+        if gap - dt < settings.dt_min:
+            dt = gap
 
+        # dt only shrinks from here, so it never exceeds gap.
         while True:
-            hit = dt_attempt >= gap
-            dt_try = gap if hit else dt_attempt
+            hit = dt == gap
             # On the target exactly, so its recorded fluxes are the applied ones.
-            t_new = target if hit else t + dt_try
-            guess = s if f_old is None else s + dt_try * f_old
+            t_new = target if hit else t + dt
+            guess = s if f_old is None else s + dt * f_old
             try:
                 u, iters, f_start, f_new = _newton_solve(
-                    s, t_new, dt_try, grid, p, bc, settings, guess)
+                    s, t_new, dt, grid, p, bc, settings, guess)
             except NewtonError as exc:
-                dt_attempt = 0.5 * dt_try
-                if dt_attempt < settings.dt_min:
+                dt *= 0.5
+                if dt < settings.dt_min:
                     failure = f"step size underflow after Newton failure: {exc}"
                     break
                 continue
             f_old = f_start if f_old is None else f_old
-            err = _error_estimate(dt_try, f_new, f_old, s, settings)
+            err = _error_estimate(dt, f_new, f_old, s, settings)
             if err <= 1.0:
                 t, s, f_old = t_new, u, f_new
                 yield pending
-                pending = accepted(t, s, dt_try, iters, err)
+                pending = accepted(t, s, dt, iters, err)
                 if hit:
                     target_idx += 1
                 factor = GROWTH_CAP if err == 0.0 else min(
                     settings.safety * err ** -0.5, GROWTH_CAP)
-                dt_next = min(max(dt_try * factor, settings.dt_min), settings.dt_max)
+                dt_next = min(max(dt * factor, settings.dt_min), settings.dt_max)
                 break
-            dt_attempt = dt_try * max(settings.safety * err ** -0.5, SHRINK_CAP)
-            if dt_attempt < settings.dt_min:
+            dt *= max(settings.safety * err ** -0.5, SHRINK_CAP)
+            if dt < settings.dt_min:
                 failure = (
                     f"step size underflow below dt_min={settings.dt_min} "
                     f"(error estimate {err:.3g})")

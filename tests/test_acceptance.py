@@ -12,8 +12,8 @@ import pytest
 
 from soilcolumn.diagnostics import (
     FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, InstabilityMetrics,
-    characteristics_oracle, detect_event, extrema_series, instability_metrics,
-    mass_balance_audit, mass_integral, mass_series)
+    characteristics_oracle, detect_event, instability_metrics,
+    mass_balance_audit, mass_integral)
 from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
     jacobian, no_flux, rhs)
@@ -293,14 +293,13 @@ def test_criterion_6_bottom_wetting_behaviour(ex2_run, acceptance_report):
     scn, grid, trace, profiles = ex2_run
     top = profiles[:, -1]
     worst_drop = float(np.min(np.diff(top)))
-    s_min, s_max = extrema_series(trace)
+    s_min, s_max = trace.s_min, trace.s_max
     settled = s_max <= scn.params.s_bar + 1e-2
     gap = s_max - s_min
     peak = int(np.argmax(gap))
     interior_peak = (0 < peak < len(gap) - 1 and gap[peak] > gap[0]
                      and gap[peak] > gap[-1])
-    mass = mass_series(trace, grid)
-    mass_err = float(np.max(np.abs(mass - 0.1485)))
+    mass_err = float(np.max(np.abs(trace.mass - 0.1485)))
     detail = (f"top-cell worst step={worst_drop:.1e} (limit -1e-6), "
               f"s_max settles={bool(settled.any())}, gap peak "
               f"{gap[peak]:.3f}@t={trace.times[peak]:.1f} interior="

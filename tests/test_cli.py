@@ -6,13 +6,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from soilcolumn.cli import main
+from soilcolumn.cli import FRONT_THRESHOLD, GAP_THRESHOLD, main
+from soilcolumn.diagnostics import (
+    FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, detect_event,
+    instability_metrics, mass_balance_audit)
+from soilcolumn.discretization import BoundarySpec, Flux, Robin, State, build_grid
+from soilcolumn.model import Parameters
+from soilcolumn.scenarios import ic_from_breakpoints, sandy_loam_sbar
+from soilcolumn.timestepper import integrate
 
 FAST = ["--set", "kappa=0.01", "--t-end", "0.5", "--output-times", "0.25,0.5"]
 
 
 def read(path):
     return path.read_text()
+
+
+def lines(path):
+    return read(path).split("\n")
 
 
 def run_dir_files(out):
@@ -108,6 +119,103 @@ class TestRun:
         # artifacts up to the failure time still exist
         assert len(read(out / "mass.csv").splitlines()) >= 2
         assert "solver failure" in capsys.readouterr().err
+
+
+def csv_lines(header, rows):
+    """A CSV artifact split at its newlines: each value as repr(float),
+    and the empty string after the last newline."""
+    return [header, *(",".join(repr(float(v)) for v in row) for row in rows), ""]
+
+
+def check_sweep_summary(out, param):
+    """Each sweep_summary.csv row repeats its member's events.json, with
+    the member's exit status. Returns {value: exit status}."""
+    header, *rows = read(out / "sweep_summary.csv").splitlines()
+    codes = {}
+    for row in rows:
+        value = row.split(",")[0]
+        doc = json.loads(read(out / f"{param}={value}" / "events.json"))
+        events = {e["kind"]: e for e in doc["events"]}
+        status = doc["solver"]["status"]
+        codes[value] = {"completed": 0, "failed": 2}[status]
+        final = doc["final"]
+        expected = [value, status, codes[value], final["mass"], final["drift"],
+                    final["undershoot"], final["overshoot"], final["zigzag"],
+                    events.get(MAX_BELOW_SBAR, {}).get("time", ""),
+                    events.get(MAXMIN_BELOW_GAP, {}).get("time", ""),
+                    events.get(FRONT_DEPTH, {}).get("value", "")]
+        assert row == ",".join(str(v) for v in expected)
+    return codes
+
+
+class TestArtifacts:
+    def test_artifacts_rebuilt_from_library(self, tmp_path):
+        # water let in at the top and out through a Robin bottom, on the
+        # inline defaults: the presets' parameters and cell width
+        cfg = {"ic": [[-4.51, 0.3], [-4.50, 0.0]],
+               "bc": {"top": {"type": "flux", "value": 0.003},
+                      "bottom": {"type": "robin", "beta": 1.0, "s_out": 0.1}},
+               "t_end": 1.0, "output_times": [0.5, 1.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+        p = Parameters(kappa=0.005, alpha_g=0.5, s_bar=sandy_loam_sbar(),
+                       depth_h=5.0)
+        g = build_grid(5.0, 0.01)
+        bc = BoundarySpec(top=Flux(0.003), bottom=Robin(1.0, 0.1))
+        ic = ic_from_breakpoints(cfg["ic"])
+        trace = integrate(State(0.0, ic(g.centers)), 1.0, [0.5, 1.0], g, p, bc)
+        profiles = [(t, z, s) for t in (0.5, 1.0)
+                    for z, s in zip(g.centers, trace.state_at(t).s)]
+        # Lists, not whole files: pytest reports the first differing line
+        # at once, where a diff of two long strings can take minutes.
+        assert lines(out / "profiles.csv") == csv_lines("t,z,s", profiles)
+        drift = mass_balance_audit(trace, g, p, bc)
+        assert lines(out / "mass.csv") == csv_lines(
+            "t,mass,drift", zip(trace.times, trace.mass, drift))
+        assert lines(out / "extrema.csv") == csv_lines(
+            "t,s_min,s_max", zip(trace.times, trace.s_min, trace.s_max))
+
+        events = []
+        for kind, threshold in ((MAX_BELOW_SBAR, p.s_bar),
+                                (MAXMIN_BELOW_GAP, GAP_THRESHOLD),
+                                (FRONT_DEPTH, FRONT_THRESHOLD)):
+            report = detect_event(trace, kind, threshold, grid=g)
+            if report is not None:
+                events.append({"kind": kind, "time": report.time,
+                               "value": report.value, "threshold": threshold})
+        assert events
+        summary = {
+            "events": events,
+            "solver": {"status": "completed", "failure_time": None,
+                       "reason": None},
+            "final": {"time": 1.0, "mass": float(trace.mass[-1]),
+                      "drift": float(drift[-1]),
+                      **instability_metrics(trace.final)._asdict()},
+        }
+        assert read(out / "events.json") == json.dumps(summary, indent=2) + "\n"
+
+    def test_sweep_rows_match_members(self, tmp_path):
+        # A column at rest below s_bar=0.5 never needs a Newton solve; at
+        # s_bar=0.1 it moves, and one Newton iteration per stage cannot
+        # follow it, so that member fails.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "ic": [[-1.0, 0.3], [0.0, 0.3]], "t_end": 0.1,
+            "solver": {"newton_max_iter": 1, "dt_min": 1e-6}}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--param", "s_bar",
+                     "--values", "0.5,0.1", "--out", str(out)]) == 0
+        codes = check_sweep_summary(out, "s_bar")
+        assert codes == {"0.5": 0, "0.1": 2}
+        for value, code in codes.items():
+            member = out / f"s_bar={value}"
+            assert main(["run", "--config", str(member / "config.json"),
+                         "--out", str(tmp_path / value)]) == code
+            assert read(tmp_path / value / "events.json") == read(
+                member / "events.json")
 
 
 class TestConfigErrors:
@@ -237,6 +345,7 @@ class TestSweep:
         assert summary[1].split(",")[0] == "0.01"
         for sub in ("kappa=0.01", "kappa=0.005"):
             assert {"profiles.csv", "events.json"} <= run_dir_files(out / sub)
+        assert check_sweep_summary(out, "kappa") == {"0.01": 0, "0.005": 0}
 
     def test_single_value_sweep_matches_plain_run(self, tmp_path):
         sweep_out = tmp_path / "sweep"
@@ -287,6 +396,7 @@ class TestSweep:
         for sub in ("kappa=0.01", "kappa=0.0"):
             doc = json.loads(read(out / sub / "events.json"))
             assert doc["solver"]["status"] == "failed"
+        assert check_sweep_summary(out, "kappa") == {"0.01": 2, "0.0": 2}
 
 
 # The config fuzz: documents with any top-level, params, set, grid, solver

@@ -6,8 +6,8 @@ import pytest
 
 from soilcolumn.diagnostics import (
     FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, OracleInvalidError,
-    characteristics_oracle, detect_event, extrema_series, instability_metrics,
-    mass_balance_audit, mass_integral, mass_series)
+    characteristics_oracle, detect_event, instability_metrics,
+    mass_balance_audit, mass_integral)
 from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
     no_flux)
@@ -71,7 +71,7 @@ class TestMassBalanceAudit:
         g = build_grid(5.0, 0.01)
         state = State(0.0, np.full(g.n_cells, 0.1))
         trace = integrate(state, t_end, [t_end], g, SANDY, bc)
-        mass = mass_series(trace, g)
+        mass = trace.mass
         assert mass[-1] - mass[0] == pytest.approx(c * t_end, abs=1e-4 * t_end)
         drift = mass_balance_audit(trace, g, SANDY, bc)
         assert np.max(np.abs(drift)) < 1e-12
@@ -132,10 +132,9 @@ class TestRecordedScalars:
         p, bc = scenario.params, scenario.bc
         assert trace.status == "completed"
         assert len(trace) == trace.step_dt.size + 1 == len(profiles)
-        assert np.array_equal(mass_series(trace, g), g.dz * profiles.sum(axis=1))
-        s_min, s_max = extrema_series(trace)
-        assert np.array_equal(s_min, profiles.min(axis=1))
-        assert np.array_equal(s_max, profiles.max(axis=1))
+        assert np.array_equal(trace.mass, g.dz * profiles.sum(axis=1))
+        assert np.array_equal(trace.s_min, profiles.min(axis=1))
+        assert np.array_equal(trace.s_max, profiles.max(axis=1))
         assert np.array_equal(mass_balance_audit(trace, g, p, bc),
                               profile_audit(trace.times, trace.step_dt, profiles,
                                             g, p, bc))
@@ -177,19 +176,24 @@ class TestRecordedScalars:
 
 
 class TestExtremaSeries:
+    """The extrema integrate records for every accepted state."""
+
     def test_uniform(self):
-        trace = synthetic_trace([0.0, 1.0], [[0.3, 0.3], [0.3, 0.3]])
-        s_min, s_max = extrema_series(trace)
-        np.testing.assert_array_equal(s_min, [0.3, 0.3])
-        np.testing.assert_array_equal(s_max, [0.3, 0.3])
+        # below s_bar a sealed uniform column is at rest
+        g = build_grid(1.0, 0.1)
+        trace = integrate(State(0.0, np.full(g.n_cells, 0.2)), 1.0, [], g, SANDY,
+                          no_flux())
+        assert len(trace) > 1
+        assert (trace.s_min == 0.2).all()
+        assert (trace.s_max == 0.2).all()
 
     def test_example_initial_ranges(self):
         for scn, hi in ((example1(), 1.0), (example2(), 0.3)):
             g = scn.build_grid()
-            trace = synthetic_trace([0.0], [scn.initial_state(g).s])
-            s_min, s_max = extrema_series(trace)
-            assert s_min[0] == 0.0
-            assert s_max[0] == hi
+            trace = integrate(scn.initial_state(g), 0.0, [], g, scn.params,
+                              scn.bc)
+            assert trace.s_min.tolist() == [0.0]
+            assert trace.s_max.tolist() == [hi]
 
 
 class TestDetectEvent:

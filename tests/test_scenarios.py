@@ -150,5 +150,3 @@ def test_initial_state_matches_grid():
     assert state.time == 0.0
     assert state.s.shape == (g.n_cells,)
     assert np.all(np.isfinite(state.s))
-    # grid_spec round-trips the mesh description
-    assert scn.grid_spec == (5.0, 0.01)

@@ -5,7 +5,7 @@ The saturation s(z, t) on the column (-h, 0) obeys
     s_t = d/dz [ kappa * s_z + alpha_g * ((s - s_bar)+)^2 ],
 
 solved by a cell-centered finite-volume scheme with Godunov upwinding of
-the gravity term and adaptive implicit Euler time stepping.
+the gravity term and adaptive TR-BDF2 time stepping.
 """
 
 from .diagnostics import (

@@ -5,7 +5,8 @@ A run produces plot-ready CSV/JSON files in its output directory:
     profiles.csv   t,z,s               profile at every requested output time
     mass.csv       t,mass,drift        column mass and audit drift per step
     extrema.csv    t,s_min,s_max       range of the profile per step
-    events.json    detected events plus the solver status
+    events.json    detected events, the solver status and the rejected
+                   steps by cause
     config.json    the resolved configuration; feeding it back through
                    --config reproduces the run bit for bit
 
@@ -298,6 +299,8 @@ def _execute(resolved, out: Path) -> tuple[int, dict]:
             "status": trace.status,
             "failure_time": trace.failure_time,
             "reason": trace.failure_reason,
+            "rejected_error": trace.rejected_error,
+            "rejected_newton": trace.rejected_newton,
         },
         "final": {
             "time": final.time,

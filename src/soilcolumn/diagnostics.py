@@ -52,21 +52,19 @@ def mass_integral(state: State, grid: Grid) -> float:
 
 def mass_balance_audit(trace, grid: Grid, p: Parameters,
                        bc: BoundarySpec) -> np.ndarray:
-    """Mass drift against the boundary fluxes the solver applied.
+    """Mass drift against the boundary inflow the solver applied.
 
-    drift(t_k) = mass(t_k) - mass(t_0) - sum_{j<k} dt_j * net(t_{j+1}), with
-    net = F_top - F_bottom: a backward-Euler step changes the mass by its
-    dt times the net inflow at the state it reaches, plus its Newton
-    residual, so the drift is residual and round-off. The masses, fluxes
-    and steps are the ones integrate recorded, so grid, p and bc are not
-    read; they name the run the trace belongs to.
+    drift(t_k) = mass(t_k) - mass(t_0) - sum_{j<k} step_inflow_j. A
+    TR-BDF2 step changes the mass by the inflow it recorded, dt times the
+    stage-weighted net inflow at its start, its trapezoid stage and its
+    end, plus its Newton residuals, so the drift is residual and
+    round-off. Everything is read from the trace, so grid, p and bc are
+    not read; they name the run the trace belongs to.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
     mass = trace.mass
-    net = trace.flux_top - trace.flux_bottom
-    inflow = np.concatenate(([0.0], np.cumsum(trace.step_dt * net[1:])))
-    return mass - mass[0] - inflow
+    return mass - mass[0] - np.concatenate(([0.0], np.cumsum(trace.step_inflow)))
 
 
 def _cross_time(times: np.ndarray, series: np.ndarray, threshold: float,

@@ -1,21 +1,25 @@
 """Adaptive implicit time integration of the semi-discrete column.
 
-The integrator is backward Euler, one implicit solve per step from the
-explicit-Euler predictor u0 + dt*f(u0), f = rhs. The local error
-ESTIMATE_SCALE * dt/2 * |f(u1) - f(u0)| (the predictor-corrector
-difference) over abs_tol + rel_tol*|u0| decides acceptance and the next
-step size. Both f values are Newton residual checks: f(u1), at the
-converged iterate, is f(u0) of the next step; the first step's f(u0) is
-its first iterate's, u0 itself. Backward Euler is L-stable, so fine
-grids never limit the step. Newton uses the analytic tridiagonal
-Jacobian and cyclic-reduction solves; from the predictor most steps
-converge after one linear solve.
+The integrator is TR-BDF2 (Bank et al. 1985) with GAMMA = 2 - sqrt(2),
+f = rhs: a trapezoid stage from u0 to u_gamma at t + GAMMA*dt, then a
+BDF2 stage through u0 and u_gamma to u1 at t + dt. Both are implicit
+solves with the same matrix I - (GAMMA/2)*dt*J. The method is second
+order, L-stable and stiffly accurate, so fine grids never limit the
+step. Its local error, estimated by Hosea & Shampine (1996) from the
+second divided difference of f at t, t + GAMMA*dt and t + dt, over
+abs_tol + rel_tol*|u0| decides acceptance and the next step size. All
+three f values are Newton residual checks: f(u1), at the converged
+iterate, is f(u0) of the next step, and the first step's f(u0) comes
+from a stage of zero length at the initial state. Newton uses the
+analytic tridiagonal Jacobian and cyclic-reduction solves. It starts the
+trapezoid stage from u0 + GAMMA*dt*f0 and the BDF2 stage from the
+quadratic through u0 with slope f_gamma at u_gamma.
 
 accepted_states() yields every accepted state with its scalars: mass,
-extrema and the two boundary fluxes. integrate() records them all in a
-Trace but keeps full profiles only at the initial time, the requested
-output times and the last state, so the memory of a run does not grow
-by a profile per step.
+extrema, the two boundary fluxes and the step's applied inflow.
+integrate() records them all in a Trace but keeps full profiles only at
+the initial time, the requested output times and the last state, so the
+memory of a run does not grow by a profile per step.
 
 Failures are data, not exceptions: when the controller cannot shrink the
 step below dt_min the returned Trace carries status "failed" together
@@ -42,11 +46,17 @@ GROWTH_CAP = 10.0
 # On rejection the step shrinks at least this much even for wild error
 # estimates.
 SHRINK_CAP = 0.1
-# Backward Euler's local error is about dt/2*|f(u1) - f(u0)| (Hairer &
-# Wanner, Solving ODEs II). Doubled, it holds each step's error at tol/2,
-# the error per unit time of step doubling (two half steps checked
-# against one full step) at the same tol, and so its global error.
-ESTIMATE_SCALE = 2.0
+# TR-BDF2 with this GAMMA has the stage coefficient GAMMA/2 =
+# (1 - GAMMA)/(2 - GAMMA) in both stages, so they share a Newton matrix.
+GAMMA = 2.0 - math.sqrt(2.0)
+# A step is u1 - u0 = dt*(W_TRAPEZOID*(f0 + f_gamma) + W_BDF2*f1).
+W_TRAPEZOID = 1.0 / (2.0 * (2.0 - GAMMA))
+W_BDF2 = (1.0 - GAMMA) / (2.0 - GAMMA)
+# Hosea & Shampine's local error is this times dt times the divided
+# difference f0/GAMMA - f_gamma/(GAMMA*(1-GAMMA)) + f1/(1-GAMMA).
+ERROR_CONSTANT = abs((-3.0 * GAMMA**2 + 4.0 * GAMMA - 2.0) / (6.0 * (2.0 - GAMMA)))
+# The local error is O(dt^3): the step size scales as err^(-1/3).
+CONTROL_EXPONENT = -1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -90,12 +100,18 @@ FAILED = "failed"
 class Accepted(NamedTuple):
     """One accepted state of a run and the scalars Trace records for it.
 
-    dt, newton_iters and error describe the accepted step that produced
-    the state (0 for the initial state). mass is dz * sum(s), and
-    flux_bottom and flux_top are the fluxes through the column ends.
+    dt, newton_iters (of both stages), error and inflow describe the
+    accepted step that produced the state (0 for the initial state).
+    inflow is the net boundary inflow the step applied, dt times the
+    stage-weighted sum W_TRAPEZOID*(net(u0) + net(u_gamma)) +
+    W_BDF2*net(u1) of net = flux_top - flux_bottom. mass is dz * sum(s),
+    and flux_bottom and flux_top are the fluxes through the column ends.
     output is True at the initial time and at each requested output
-    time. failure is set on the last state of a run that stopped before
-    t_end, to the reason it stopped.
+    time. rejected_error and rejected_newton count the attempts the run
+    rejected so far, by the error test and by a Newton failure. failure
+    is set on the last state of a run that stopped before t_end, to the
+    reason it stopped; that state's counts include the attempts after
+    it.
     """
 
     time: float
@@ -103,12 +119,15 @@ class Accepted(NamedTuple):
     dt: float
     newton_iters: int
     error: float
+    inflow: float
     mass: float
     s_min: float
     s_max: float
     flux_bottom: float
     flux_top: float
     output: bool
+    rejected_error: int
+    rejected_newton: int
     failure: Optional[str] = None
 
 
@@ -120,7 +139,9 @@ class Trace:
     times holds every accepted time, times[0] being the initial one, and
     mass, s_min, s_max, flux_bottom and flux_top the matching scalars of
     each state (see Accepted). The step_* arrays describe the accepted
-    step that produced state k+1. profiles[j] is the saturation at
+    step that produced state k+1; rejected_error and rejected_newton
+    count the attempts the run rejected, by the error test and by a
+    Newton failure. profiles[j] is the saturation at
     times[kept[j]]; integrate keeps the initial state, each requested
     output time and the last state. Output times requested from
     integrate() appear exactly (the controller trims steps to land on
@@ -138,6 +159,9 @@ class Trace:
     step_dt: np.ndarray
     step_newton_iters: np.ndarray
     step_error: np.ndarray
+    step_inflow: np.ndarray
+    rejected_error: int
+    rejected_newton: int
     status: str = COMPLETED
     failure_time: Optional[float] = None
     failure_reason: Optional[str] = None
@@ -201,11 +225,35 @@ def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
         f"no convergence in {settings.newton_max_iter} iterations at t={t_new}")
 
 
-def _error_estimate(dt: float, f_new: np.ndarray, f_old: np.ndarray,
-                    s_old: np.ndarray, settings: SolverSettings) -> float:
-    """Local error over tolerance of a step from f_old to f_new = rhs."""
-    scale = settings.abs_tol + settings.rel_tol * np.abs(s_old)
-    return ESTIMATE_SCALE * 0.5 * dt * float((np.abs(f_new - f_old) / scale).max())
+def _tr_bdf2(s: np.ndarray, f0: np.ndarray, t: float, dt: float, t_new: float,
+             grid: Grid, p: Parameters, bc: BoundarySpec,
+             settings: SolverSettings) -> tuple:
+    """One TR-BDF2 step from s at t, f0 = rhs there, to t_new = t + dt:
+    (u1, Newton iterations of both stages, the trapezoid stage's State,
+    rhs at it, rhs at u1). Raises NewtonError when a stage fails."""
+    half = 0.5 * GAMMA * dt
+    t_gamma = t + GAMMA * dt
+    u_gamma, iters_gamma, _, f_gamma = _newton_solve(
+        s + half * f0, t_gamma, half, grid, p, bc, settings, s + GAMMA * dt * f0)
+    s_bdf2 = (u_gamma - (1.0 - GAMMA) ** 2 * s) / (GAMMA * (2.0 - GAMMA))
+    # The BDF2 stage starts at t + dt on the quadratic through s with slope
+    # f_gamma at u_gamma: u_gamma + r*dt*f_gamma + r**2*(s - u_gamma), with
+    # r = (1 - GAMMA)/GAMMA and so r**2 = 1/2.
+    start = 0.5 * (s + u_gamma)
+    start += (1.0 - GAMMA) / GAMMA * dt * f_gamma
+    u1, iters_1, _, f1 = _newton_solve(s_bdf2, t_new, half, grid, p, bc, settings,
+                                       start)
+    return u1, iters_gamma + iters_1, State(t_gamma, u_gamma), f_gamma, f1
+
+
+def _error_estimate(dt: float, f0: np.ndarray, f_gamma: np.ndarray,
+                    f1: np.ndarray, s: np.ndarray,
+                    settings: SolverSettings) -> float:
+    """Local error over tolerance of a step from s with rhs values f0,
+    f_gamma and f1 at its start, its trapezoid stage and its end."""
+    scale = settings.abs_tol + settings.rel_tol * np.abs(s)
+    divided = f0 / GAMMA - f_gamma / (GAMMA * (1.0 - GAMMA)) + f1 / (1.0 - GAMMA)
+    return ERROR_CONSTANT * dt * float((np.abs(divided) / scale).max())
 
 
 def accepted_states(initial: State, t_end: float, output_times: Sequence[float],
@@ -242,11 +290,14 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     outputs = {float(t) for t in output_times}
     t0 = initial.time
 
-    def accepted(t, s, dt=0.0, iters=0, err=0.0):
+    rejected_error = rejected_newton = 0
+
+    def accepted(t, s, dt=0.0, iters=0, err=0.0, net_trapezoid=0.0):
         flux_bottom, flux_top = boundary_fluxes(State(time=t, s=s), grid, p, bc)
-        return Accepted(t, s, dt, iters, err, grid.dz * float(np.sum(s)),
+        inflow = dt * (W_TRAPEZOID * net_trapezoid + W_BDF2 * (flux_top - flux_bottom))
+        return Accepted(t, s, dt, iters, err, inflow, grid.dz * float(np.sum(s)),
                         float(s.min()), float(s.max()), flux_bottom, flux_top,
-                        t == t0 or t in outputs)
+                        t == t0 or t in outputs, rejected_error, rejected_newton)
 
     targets = sorted({float(t) for t in output_times if t > t0} | {float(t_end)})
     failure = None
@@ -256,7 +307,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     # last one can carry the failure reason.
     pending = accepted(t, s)
     # rhs at the current state, once a stage has evaluated it there.
-    f_old: Optional[np.ndarray] = None
+    f0: Optional[np.ndarray] = None
     dt_next = settings.dt_init
     target_idx = 0
     while target_idx < len(targets) and failure is None:
@@ -275,41 +326,49 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
             hit = dt == gap
             # On the target exactly, so its recorded fluxes are the applied ones.
             t_new = target if hit else t + dt
-            guess = s if f_old is None else s + dt * f_old
             try:
-                u, iters, f_start, f_new = _newton_solve(
-                    s, t_new, dt, grid, p, bc, settings, guess)
+                if f0 is None:
+                    # rhs at the initial state, from a stage of zero length,
+                    # so that every rhs call is a Newton residual check.
+                    f0 = _newton_solve(s, t, 0.0, grid, p, bc, settings, s)[3]
+                u, iters, stage, f_gamma, f1 = _tr_bdf2(
+                    s, f0, t, dt, t_new, grid, p, bc, settings)
             except NewtonError as exc:
+                rejected_newton += 1
                 dt *= 0.5
                 if dt < settings.dt_min:
                     failure = f"step size underflow after Newton failure: {exc}"
                     break
                 continue
-            f_old = f_start if f_old is None else f_old
-            err = _error_estimate(dt, f_new, f_old, s, settings)
+            err = _error_estimate(dt, f0, f_gamma, f1, s, settings)
             if err <= 1.0:
-                t, s, f_old = t_new, u, f_new
+                stage_bottom, stage_top = boundary_fluxes(stage, grid, p, bc)
+                net_trapezoid = (pending.flux_top - pending.flux_bottom
+                                 + (stage_top - stage_bottom))
+                t, s, f0 = t_new, u, f1
                 yield pending
-                pending = accepted(t, s, dt, iters, err)
+                pending = accepted(t, s, dt, iters, err, net_trapezoid)
                 if hit:
                     target_idx += 1
                 factor = GROWTH_CAP if err == 0.0 else min(
-                    settings.safety * err ** -0.5, GROWTH_CAP)
+                    settings.safety * err ** CONTROL_EXPONENT, GROWTH_CAP)
                 dt_next = min(max(dt * factor, settings.dt_min), settings.dt_max)
                 break
-            dt *= max(settings.safety * err ** -0.5, SHRINK_CAP)
+            rejected_error += 1
+            dt *= max(settings.safety * err ** CONTROL_EXPONENT, SHRINK_CAP)
             if dt < settings.dt_min:
                 failure = (
                     f"step size underflow below dt_min={settings.dt_min} "
                     f"(error estimate {err:.3g})")
                 break
-    yield pending._replace(failure=failure)
+    yield pending._replace(failure=failure, rejected_error=rejected_error,
+                           rejected_newton=rejected_newton)
 
 
 def record(states: Iterable[Accepted]) -> Trace:
     """The Trace of a run's accepted states: every state's time, step
     and scalars, and the profiles of its output states and its last."""
-    # Nine doubles a state: 72 bytes, where a tuple of floats takes ~350.
+    # Ten doubles a state: 80 bytes, where a tuple of floats takes ~350.
     scalars = array("d")
     kept: list[int] = []
     profiles = []
@@ -318,13 +377,13 @@ def record(states: Iterable[Accepted]) -> Trace:
             kept.append(i)
             profiles.append(state.s)
         scalars.extend((state.time, state.dt, state.newton_iters, state.error,
-                        state.mass, state.s_min, state.s_max, state.flux_bottom,
-                        state.flux_top))
+                        state.inflow, state.mass, state.s_min, state.s_max,
+                        state.flux_bottom, state.flux_top))
     if kept[-1] != i:
         kept.append(i)
         profiles.append(state.s)
-    (times, step_dt, step_iters, step_err, mass, s_min, s_max, flux_bottom,
-     flux_top) = np.frombuffer(scalars).reshape(-1, 9).T
+    (times, step_dt, step_iters, step_err, step_inflow, mass, s_min, s_max,
+     flux_bottom, flux_top) = np.frombuffer(scalars).reshape(-1, 10).T
     return Trace(
         times=times,
         kept=np.array(kept),
@@ -337,6 +396,9 @@ def record(states: Iterable[Accepted]) -> Trace:
         step_dt=step_dt[1:],
         step_newton_iters=step_iters[1:].astype(int),
         step_error=step_err[1:],
+        step_inflow=step_inflow[1:],
+        rejected_error=state.rejected_error,
+        rejected_newton=state.rejected_newton,
         status=COMPLETED if state.failure is None else FAILED,
         failure_time=None if state.failure is None else state.time,
         failure_reason=state.failure,

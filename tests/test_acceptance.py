@@ -205,7 +205,7 @@ def test_redistribution_profiles_descend(ex1_run):
 
 def test_mass_audit_bounded_on_dirichlet_run(ex3_triptych):
     # with open ends the audit sums each step's boundary inflow as the
-    # backward-Euler step applied it, so only Newton residuals and
+    # step applied it, so only Newton residuals and
     # round-off remain
     scn, grid, trace, _ = ex3_triptych[0.01]
     drift = mass_balance_audit(trace, grid, scn.params, scn.bc)

@@ -190,7 +190,8 @@ class TestArtifacts:
         summary = {
             "events": events,
             "solver": {"status": "completed", "failure_time": None,
-                       "reason": None},
+                       "reason": None, "rejected_error": trace.rejected_error,
+                       "rejected_newton": trace.rejected_newton},
             "final": {"time": 1.0, "mass": float(trace.mass[-1]),
                       "drift": float(drift[-1]),
                       **instability_metrics(trace.final)._asdict()},
@@ -200,11 +201,11 @@ class TestArtifacts:
     def test_sweep_rows_match_members(self, tmp_path):
         # A column at rest below s_bar=0.5 never needs a Newton solve; at
         # s_bar=0.1 it moves, and one Newton iteration per stage cannot
-        # follow it, so that member fails.
+        # follow it at any step above dt_min, so that member fails.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "ic": [[-1.0, 0.3], [0.0, 0.3]], "t_end": 0.1,
-            "solver": {"newton_max_iter": 1, "dt_min": 1e-6}}))
+            "solver": {"newton_max_iter": 1, "dt_init": 1e-2, "dt_min": 1e-3}}))
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(path), "--param", "s_bar",
                      "--values", "0.5,0.1", "--out", str(out)]) == 0

@@ -10,10 +10,12 @@ from soilcolumn.diagnostics import (
     mass_balance_audit, mass_integral)
 from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
-    no_flux)
+    no_flux, rhs)
 from soilcolumn.model import Parameters
 from soilcolumn.scenarios import example1, example2, example3, ic_from_breakpoints
-from soilcolumn.timestepper import FAILED, SolverSettings, Trace, integrate
+from soilcolumn.timestepper import (
+    FAILED, GAMMA, W_BDF2, W_TRAPEZOID, SolverSettings, Trace, _newton_solve,
+    integrate)
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 
@@ -28,7 +30,8 @@ def synthetic_trace(times, profiles):
                  s_max=profiles.max(axis=1), flux_bottom=np.zeros(times.size),
                  flux_top=np.zeros(times.size), step_dt=np.diff(times),
                  step_newton_iters=np.ones(steps, dtype=int),
-                 step_error=np.zeros(steps))
+                 step_error=np.zeros(steps), step_inflow=np.zeros(steps),
+                 rejected_error=0, rejected_newton=0)
 
 
 class TestMassIntegral:
@@ -85,14 +88,24 @@ class TestMassBalanceAudit:
 
 def profile_audit(times, step_dt, profiles, grid, p, bc):
     """mass_balance_audit computed from every profile: face_fluxes on
-    each state, each step's size times the net inflow at the state it
-    reaches (the right-endpoint rule of backward Euler)."""
+    each state and on each step's trapezoid stage, solved again from the
+    state the step starts at, summed by the TR-BDF2 stage quadrature."""
+    def net(t, s):
+        flux = face_fluxes(State(float(t), s), grid, p, bc)
+        return flux[-1] - flux[0]
+
     mass = grid.dz * profiles.sum(axis=1)
-    flux = np.array([face_fluxes(State(float(t), s), grid, p, bc)
-                     for t, s in zip(times, profiles)])
-    net = flux[:, -1] - flux[:, 0]
-    inflow = np.concatenate(([0.0], np.cumsum(step_dt * net[1:])))
-    return mass - mass[0] - inflow
+    nets = np.array([net(t, s) for t, s in zip(times, profiles)])
+    stage_nets = []
+    for t, dt, s in zip(times[:-1], step_dt, profiles[:-1]):
+        f0 = rhs(State(float(t), s), grid, p, bc)
+        half = 0.5 * GAMMA * dt
+        u_gamma = _newton_solve(s + half * f0, t + GAMMA * dt, half, grid, p, bc,
+                                SolverSettings(), s + GAMMA * dt * f0)[0]
+        stage_nets.append(net(t + GAMMA * dt, u_gamma))
+    inflow = step_dt * (W_TRAPEZOID * (nets[:-1] + np.array(stage_nets))
+                        + W_BDF2 * nets[1:])
+    return mass - mass[0] - np.concatenate(([0.0], np.cumsum(inflow)))
 
 
 def flux_over_robin():

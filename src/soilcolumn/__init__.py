@@ -19,7 +19,6 @@ from .diagnostics import (
     detect_event,
     instability_metrics,
     mass_balance_audit,
-    mass_integral,
 )
 from .discretization import (
     BoundarySpec,
@@ -67,6 +66,6 @@ __all__ = [
     "accepted_states", "build_grid", "characteristics_oracle", "detect_event",
     "example1", "example2", "example3", "gravity_flux",
     "gravity_flux_derivative", "ic_from_breakpoints", "instability_metrics",
-    "integrate", "mass_balance_audit", "mass_integral", "no_flux",
-    "positive_part", "record", "rhs", "sandy_loam_sbar",
+    "integrate", "mass_balance_audit", "no_flux", "positive_part", "record",
+    "rhs", "sandy_loam_sbar",
 ]

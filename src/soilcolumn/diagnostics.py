@@ -35,21 +35,6 @@ class EventReport:
     value: float
 
 
-def mass_integral(state: State, grid: Grid) -> float:
-    """Water mass in the column by the trapezoidal rule.
-
-    The integrand is the piecewise-linear interpolant of the cell-center
-    values, extended as a constant over the two boundary half-cells.
-    The end extension makes the trapezoid sum collapse to dz * sum(s),
-    exactly the quantity whose change telescopes to the boundary fluxes
-    in the finite-volume update, so the audit measures the solver and
-    not a quadrature mismatch.
-    """
-    if state.s.size != grid.n_cells:
-        raise ValueError("state does not match grid")
-    return grid.dz * float(np.sum(state.s))
-
-
 def mass_balance_audit(trace, grid: Grid, p: Parameters,
                        bc: BoundarySpec) -> np.ndarray:
     """Mass drift against the boundary inflow the solver applied.
@@ -161,16 +146,17 @@ class OracleInvalidError(RuntimeError):
 
 
 def characteristics_oracle(ic: Callable[[float], float], z: float, t: float,
-                           p: Parameters, scan_points: int = 1201) -> float:
+                           p: Parameters) -> float:
     """Exact pre-shock solution of the pure-transport limit.
 
     Valid for kappa = 0 and s_bar = 0: characteristics of
     s_t - 2*alpha_g*s*s_z = 0 move with dz/dt = -2*alpha_g*s, so the
     saturation solves s = ic(z + 2*alpha_g*s*t). The root is bracketed
-    by a sign scan over s in [0, 1.2] and then bisected to 1e-10;
-    more than one bracket means the characteristics have crossed and
-    the oracle raises OracleInvalidError. ic must evaluate elementwise
-    on arrays (np.interp-style callables and PiecewiseLinearIC do).
+    by a sign scan over s in [0, 1.2] in steps of 0.001 and then
+    bisected to 1e-10; more than one bracket means the characteristics
+    have crossed and the oracle raises OracleInvalidError. ic must
+    evaluate elementwise on arrays (np.interp-style callables and
+    PiecewiseLinearIC do).
     """
     if p.kappa != 0.0:
         raise ValueError("oracle requires kappa = 0")
@@ -180,7 +166,7 @@ def characteristics_oracle(ic: Callable[[float], float], z: float, t: float,
     def mismatch(s: float) -> float:
         return s - float(ic(z + 2.0 * p.alpha_g * s * t))
 
-    grid_s = np.linspace(0.0, 1.2, scan_points)
+    grid_s = np.linspace(0.0, 1.2, 1201)
     values = grid_s - np.asarray(ic(z + 2.0 * p.alpha_g * grid_s * t), dtype=float)
     exact = np.nonzero(values == 0.0)[0]
     sign_change = np.nonzero(values[:-1] * values[1:] < 0.0)[0]

@@ -44,10 +44,6 @@ class Grid:
     dz: float
     centers: np.ndarray
 
-    @property
-    def depth_h(self) -> float:
-        return self.n_cells * self.dz
-
 
 def build_grid(depth_h: float, d: float) -> Grid:
     """Mesh with cell width as close to d as an exact partition allows.

@@ -86,9 +86,8 @@ class Scenario:
     def build_grid(self) -> Grid:
         return build_grid(self.params.depth_h, self.d)
 
-    def initial_state(self, grid: Optional[Grid] = None) -> State:
-        if grid is None:
-            grid = self.build_grid()
+    def initial_state(self, grid: Grid) -> State:
+        """The initial saturation at the centers of grid, at t = 0."""
         return State(time=0.0, s=np.asarray(self.ic(grid.centers), dtype=float))
 
 

@@ -83,8 +83,9 @@ class SolverSettings:
             raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
         if not self.newton_tol > 0.0:
             raise ValueError(f"newton_tol must be > 0, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
+        iters = self.newton_max_iter
+        if not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError(f"newton_max_iter must be an integer >= 1, got {iters}")
         if not 0.0 < self.safety <= 1.0:
             raise ValueError(f"safety must be in (0, 1], got {self.safety}")
 
@@ -169,44 +170,37 @@ class Trace:
     def __len__(self) -> int:
         return self.times.size
 
-    def state(self, i: int) -> State:
-        """State i (0 is the initial state); ValueError when its profile
-        was not kept."""
-        i = range(len(self))[i]
+    def state_at(self, t: float) -> State:
+        """The kept state within 1e-9 of t, such as an output time;
+        ValueError when there is none, or its profile was not kept."""
+        i = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[i] - t) > 1e-9:
+            raise ValueError(f"no trace entry at t={t}")
         row = int(np.searchsorted(self.kept, i))
         if row == self.kept.size or self.kept[row] != i:
             raise ValueError(f"the profile at t={self.times[i]} was not kept")
         return State(time=float(self.times[i]), s=self.profiles[row])
 
-    def state_at(self, t: float, tol: float = 1e-9) -> State:
-        """State at a time the trace hit exactly (an output time)."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol:
-            raise ValueError(f"no trace entry at t={t}")
-        return self.state(i)
-
     @property
     def final(self) -> State:
-        return self.state(len(self) - 1)
+        """The last accepted state, whose profile record always keeps."""
+        return State(time=float(self.times[-1]), s=self.profiles[-1])
 
 
 def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
                   p: Parameters, bc: BoundarySpec, settings: SolverSettings,
                   start: np.ndarray) -> tuple:
-    """Solve u - s_old - dt*rhs(u) = 0 from start; returns (u, iterations
-    used, rhs at start, rhs at u), both at t_new. Raises NewtonError when
-    the iteration does not converge."""
+    """Solve u - s_old - dt*rhs(u) = 0 from start: (u, iterations used,
+    rhs at u and t_new); NewtonError when the iteration does not converge."""
     u = start.copy()
-    f_start = None
     for it in range(1, settings.newton_max_iter + 1):
         state = State(time=t_new, s=u)
         f = rhs(state, grid, p, bc)
-        f_start = f if f_start is None else f_start
         residual = u - s_old
         residual -= dt * f
         bound = settings.newton_tol * (1.0 + np.abs(u).max())
         if np.abs(residual).max() < bound:
-            return u, it, f_start, f
+            return u, it, f
         # Newton matrix of the implicit update, I - dt * d(rhs)/ds, built
         # in the arrays jacobian returns.
         system = jacobian(state, grid, p, bc)
@@ -233,7 +227,7 @@ def _tr_bdf2(s: np.ndarray, f0: np.ndarray, t: float, dt: float, t_new: float,
     rhs at it, rhs at u1). Raises NewtonError when a stage fails."""
     half = 0.5 * GAMMA * dt
     t_gamma = t + GAMMA * dt
-    u_gamma, iters_gamma, _, f_gamma = _newton_solve(
+    u_gamma, iters_gamma, f_gamma = _newton_solve(
         s + half * f0, t_gamma, half, grid, p, bc, settings, s + GAMMA * dt * f0)
     s_bdf2 = (u_gamma - (1.0 - GAMMA) ** 2 * s) / (GAMMA * (2.0 - GAMMA))
     # The BDF2 stage starts at t + dt on the quadratic through s with slope
@@ -241,8 +235,8 @@ def _tr_bdf2(s: np.ndarray, f0: np.ndarray, t: float, dt: float, t_new: float,
     # r = (1 - GAMMA)/GAMMA and so r**2 = 1/2.
     start = 0.5 * (s + u_gamma)
     start += (1.0 - GAMMA) / GAMMA * dt * f_gamma
-    u1, iters_1, _, f1 = _newton_solve(s_bdf2, t_new, half, grid, p, bc, settings,
-                                       start)
+    u1, iters_1, f1 = _newton_solve(s_bdf2, t_new, half, grid, p, bc, settings,
+                                    start)
     return u1, iters_gamma + iters_1, State(t_gamma, u_gamma), f_gamma, f1
 
 
@@ -330,7 +324,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                 if f0 is None:
                     # rhs at the initial state, from a stage of zero length,
                     # so that every rhs call is a Newton residual check.
-                    f0 = _newton_solve(s, t, 0.0, grid, p, bc, settings, s)[3]
+                    f0 = _newton_solve(s, t, 0.0, grid, p, bc, settings, s)[2]
                 u, iters, stage, f_gamma, f1 = _tr_bdf2(
                     s, f0, t, dt, t_new, grid, p, bc, settings)
             except NewtonError as exc:

@@ -24,23 +24,6 @@ class Tridiagonal:
     diag: np.ndarray
     upper: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        if self.n > 1:
-            y[:-1] += self.upper * x[1:]
-            y[1:] += self.lower * x[:-1]
-        return y
-
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        if self.n > 1:
-            a += np.diag(self.upper, 1) + np.diag(self.lower, -1)
-        return a
-
 
 def _dominant_depth(rho: float) -> int:
     """Levels after which rho**(2**k) <= 2**-53, for 0 <= rho < 1."""

@@ -30,6 +30,14 @@ def no_solver(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def as_dense():
+    """The dense array of a Tridiagonal."""
+    def dense(tri):
+        return np.diag(tri.diag) + np.diag(tri.upper, 1) + np.diag(tri.lower, -1)
+    return dense
+
+
+@pytest.fixture(scope="session")
 def integrate_every_profile():
     """integrate(), returning with its Trace the profile of every accepted
     state, both from one run."""

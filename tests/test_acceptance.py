@@ -13,7 +13,7 @@ import pytest
 from soilcolumn.diagnostics import (
     FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, InstabilityMetrics,
     characteristics_oracle, detect_event, instability_metrics,
-    mass_balance_audit, mass_integral)
+    mass_balance_audit)
 from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
     jacobian, no_flux, rhs)
@@ -102,7 +102,7 @@ def entropy_front_depth(t, s_bar, mass):
 
 def test_criterion_1_mass_conservation(ex1_run, acceptance_report):
     scn, grid, trace, profiles, runtime = ex1_run
-    mass0 = mass_integral(trace.state(0), grid)
+    mass0 = trace.mass[0]
     drift = mass_balance_audit(trace, grid, scn.params, scn.bc)
     worst = float(np.max(np.abs(drift)))
     detail = (f"max|drift|={worst:.2e} (limit 1e-3), mass(0)={mass0:.4f} "
@@ -254,8 +254,7 @@ def test_criterion_4_no_diffusion_collapses(ex3_triptych, acceptance_report):
     # fails too.
     scn, grid, trace, profiles = ex3_triptych[0.0]
     worst = worst_metrics(trace, profiles)
-    exact = entropy_front_depth(0.5, scn.params.s_bar,
-                                mass_integral(trace.state(0), grid))
+    exact = entropy_front_depth(0.5, scn.params.s_bar, trace.mass[0])
     front = detect_event(trace, FRONT_DEPTH, 0.05, grid=grid, at_time=0.5)
     miss = abs(front.value - exact) / grid.dz if front else np.inf
     detail = ("kappa=0: " + monotone_detail(trace, worst)
@@ -351,7 +350,8 @@ def test_criterion_7_hyperbolic_limit_oracle(acceptance_report):
     assert 0.3 <= ratio <= 0.7
 
 
-def test_criterion_8_property_suites(integrate_every_profile, acceptance_report):
+def test_criterion_8_property_suites(integrate_every_profile, as_dense,
+                                     acceptance_report):
     rng = np.random.default_rng(2024)
     p = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
     grid = build_grid(5.0, 0.01)
@@ -375,7 +375,7 @@ def test_criterion_8_property_suites(integrate_every_profile, acceptance_report)
     for i in range(100):
         state = State(0.0, rng.uniform(0.0, 1.2, small.n_cells))
         bc = bcs[i % len(bcs)]
-        dense = jacobian(state, small, p, bc).to_dense()
+        dense = as_dense(jacobian(state, small, p, bc))
         fd = np.empty_like(dense)
         for j in range(small.n_cells):
             up, down = state.s.copy(), state.s.copy()

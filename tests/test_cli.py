@@ -60,8 +60,19 @@ class TestRun:
                      "--out", str(first)]) == 0
         assert main(["run", "--config", str(first / "config.json"),
                      "--out", str(again)]) == 0
-        for name in ("profiles.csv", "mass.csv", "extrema.csv", "events.json"):
+        # the echo replays to itself, so config.json is a fixed point
+        for name in ("profiles.csv", "mass.csv", "extrema.csv", "events.json",
+                     "config.json"):
             assert read(first / name) == read(again / name)
+
+    def test_rel_tol_flag_overrides_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "example3", "t_end": 0.01,
+                                    "solver": {"rel_tol": 1e-6}}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--rel-tol", "1e-4",
+                     "--out", str(out)]) == 0
+        assert json.loads(read(out / "config.json"))["solver"]["rel_tol"] == 1e-4
 
     def test_inline_config(self, tmp_path):
         cfg = {
@@ -272,6 +283,8 @@ class TestConfigErrors:
         ["--output-times", "inf"],
         ["--set", "d=1e-15", "--t-end", "0.001"],
         ["--set", "d=1e-9"],
+        ["--rel-tol", "0"],
+        ["--rel-tol", "nan"],
     ])
     def test_rejected_before_solving(self, tmp_path, capsys, no_solver, args):
         code = main(["run", "--scenario", "example3", *args,

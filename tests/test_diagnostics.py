@@ -7,7 +7,7 @@ import pytest
 from soilcolumn.diagnostics import (
     FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, OracleInvalidError,
     characteristics_oracle, detect_event, instability_metrics,
-    mass_balance_audit, mass_integral)
+    mass_balance_audit)
 from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
     no_flux, rhs)
@@ -32,30 +32,6 @@ def synthetic_trace(times, profiles):
                  step_newton_iters=np.ones(steps, dtype=int),
                  step_error=np.zeros(steps), step_inflow=np.zeros(steps),
                  rejected_error=0, rejected_newton=0)
-
-
-class TestMassIntegral:
-    def test_uniform(self):
-        g = build_grid(5.0, 0.01)
-        state = State(0.0, np.full(g.n_cells, 0.5))
-        assert mass_integral(state, g) == pytest.approx(2.5, rel=1e-14)
-
-    def test_example1_ic_matches_analytic(self):
-        scn = example1()
-        g = scn.build_grid()
-        # analytic: 0.5 saturated layer + 0.01-wide half ramp
-        assert mass_integral(scn.initial_state(g), g) == pytest.approx(0.505, abs=1e-3)
-
-    def test_example3_ic_matches_analytic(self):
-        scn = example3()
-        g = scn.build_grid()
-        # analytic: integral of -0.5z over (-2, 0) plus the ramp sliver
-        assert mass_integral(scn.initial_state(g), g) == pytest.approx(1.005, abs=1e-3)
-
-    def test_shape_mismatch(self):
-        g = build_grid(1.0, 0.5)
-        with pytest.raises(ValueError):
-            mass_integral(State(0.0, np.zeros(5)), g)
 
 
 class TestMassBalanceAudit:

@@ -220,12 +220,12 @@ def dense_fd_jacobian(state, grid, p, bc, h=1e-7):
 
 
 class TestJacobian:
-    def test_no_physics_no_coupling(self):
+    def test_no_physics_no_coupling(self, as_dense):
         p = Parameters(kappa=0.0, alpha_g=0.0, s_bar=0.2)
         g = build_grid(1.0, 0.1)
         state = State(0.0, np.linspace(0.0, 1.0, g.n_cells))
         jac = jacobian(state, g, p, no_flux())
-        assert not jac.to_dense().any()
+        assert not as_dense(jac).any()
 
     def test_pure_diffusion_stencil(self):
         g = build_grid(1.0, 0.1)
@@ -248,12 +248,12 @@ class TestJacobian:
         BoundarySpec(top=Dirichlet(lambda t: 0.5 + 2.0 * t),
                      bottom=Flux(lambda t: 0.01 * t)),
     ])
-    def test_matches_finite_differences(self, bc):
+    def test_matches_finite_differences(self, bc, as_dense):
         rng = np.random.default_rng(5)
         g = build_grid(1.0, 0.05)
         for _ in range(25):
             state = State(0.1, rng.uniform(0.0, 1.2, g.n_cells))
-            jac = jacobian(state, g, SANDY, bc).to_dense()
+            jac = as_dense(jacobian(state, g, SANDY, bc))
             fd = dense_fd_jacobian(state, g, SANDY, bc)
             scale = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(jac - fd)) / scale <= 1e-5
@@ -270,11 +270,11 @@ class TestJacobian:
             assert np.all(jac.lower >= 0.0)
             assert np.all(jac.diag <= 0.0)
 
-    def test_single_cell_grid(self):
+    def test_single_cell_grid(self, as_dense):
         g = build_grid(1.0, 1.0)
         bc = BoundarySpec(top=Dirichlet(0.2), bottom=Robin(1.0, 0.1))
         state = State(0.0, np.array([0.6]))
-        jac = jacobian(state, g, SANDY, bc).to_dense()
+        jac = as_dense(jacobian(state, g, SANDY, bc))
         fd = dense_fd_jacobian(state, g, SANDY, bc)
         np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-7)
 

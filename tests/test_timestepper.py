@@ -15,7 +15,7 @@ SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 def backward_euler(s_old, dt, g, p, settings=SolverSettings()):
     """One backward-Euler stage from s_old at t=0 over dt, started at
     s_old: (u, iterations used)."""
-    u, iters, _, _ = _newton_solve(s_old, dt, dt, g, p, no_flux(), settings, s_old)
+    u, iters, _ = _newton_solve(s_old, dt, dt, g, p, no_flux(), settings, s_old)
     return u, iters
 
 
@@ -33,6 +33,9 @@ class TestSolverSettings:
         dict(rel_tol=0.0),
         dict(abs_tol=-1.0),
         dict(newton_max_iter=0),
+        dict(newton_max_iter=2.5),
+        dict(newton_max_iter=float("nan")),
+        dict(newton_max_iter=float("inf")),
         dict(safety=0.0),
         dict(safety=1.5),
     ])
@@ -75,17 +78,14 @@ class TestNewtonStep:
         g = scn.build_grid()
         s_old = scn.initial_state(g).s
         args = (s_old, 0.01, 0.01, g, scn.params, scn.bc, SolverSettings())
-        u, iters, f_start, f = _newton_solve(*args, s_old)
+        u, iters, f = _newton_solve(*args, s_old)
         assert iters > 1
-        # the first residual check is at the start, the last at u
-        np.testing.assert_array_equal(
-            f_start, rhs(State(0.01, s_old), g, scn.params, scn.bc))
-        again, iters, f_again, f_end = _newton_solve(*args, u)
+        # the last residual check is at u
+        np.testing.assert_array_equal(f, rhs(State(0.01, u), g, scn.params, scn.bc))
+        again, iters, f_again = _newton_solve(*args, u)
         assert iters == 1
         np.testing.assert_array_equal(again, u)
-        # started at the solution, both checks are the one at u
-        assert f_again is f_end
-        np.testing.assert_array_equal(f_end, f)
+        np.testing.assert_array_equal(f_again, f)
 
     @pytest.mark.parametrize("predicted", [False, True])
     def test_newton_solve_leaves_inputs_unmodified(self, predicted):
@@ -98,8 +98,8 @@ class TestNewtonStep:
             start = s_old + dt * rhs(State(dt, s_old), g, scn.params, scn.bc)
         inputs = [s_old, start]
         before = [x.copy() for x in inputs]
-        u, iters, _, _ = _newton_solve(s_old, dt, dt, g, scn.params, scn.bc,
-                                       SolverSettings(), start)
+        u, iters, _ = _newton_solve(s_old, dt, dt, g, scn.params, scn.bc,
+                                    SolverSettings(), start)
         assert iters > 1
         for x, y in zip(inputs, before):
             assert x.tobytes() == y.tobytes()
@@ -387,7 +387,12 @@ def test_trace_state_lookup():
     g = build_grid(1.0, 0.1)
     state = State(0.0, np.full(g.n_cells, 0.2))
     trace = integrate(state, 1.0, [0.5, 1.0], g, SANDY, no_flux())
+    np.testing.assert_array_equal(trace.state_at(0.0).s, state.s)
     assert trace.state_at(0.5).time == 0.5
     assert trace.final.time == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no trace entry"):
         trace.state_at(0.123456)
+    # an accepted time whose profile was not kept
+    assert 1 not in trace.kept
+    with pytest.raises(ValueError, match="not kept"):
+        trace.state_at(trace.times[1])

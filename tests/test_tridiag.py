@@ -31,12 +31,12 @@ def random_system(rng, n):
 # to; test_solution_ignores_identity_rows covers the shorter pads of an
 # early stop.
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 10, 500, 511, 512, 513])
-def test_solve_matches_dense(n):
+def test_solve_matches_dense(n, as_dense):
     rng = np.random.default_rng(n)
     tri = random_system(rng, n)
     b = rng.normal(size=n)
     x = solve(tri, b)
-    np.testing.assert_allclose(x, np.linalg.solve(tri.to_dense(), b),
+    np.testing.assert_allclose(x, np.linalg.solve(as_dense(tri), b),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -47,17 +47,17 @@ def max_relative_error(x, ref):
 # rho = 0 solves every row as x = d / b; rho of about 1e-3 stops the
 # reduction after 3 of its 8 levels.
 @pytest.mark.parametrize("off", [0.0, 5e-4])
-def test_dominant_matrix_stops_early(off):
+def test_dominant_matrix_stops_early(off, as_dense):
     rng = np.random.default_rng(20)
     tri = Tridiagonal(lower=off * rng.uniform(-1, 1, 499),
                       diag=rng.uniform(1.0, 2.0, 500),
                       upper=off * rng.uniform(-1, 1, 499))
     b = rng.normal(size=500)
     assert max_relative_error(solve(tri, b),
-                              np.linalg.solve(tri.to_dense(), b)) <= 1e-15
+                              np.linalg.solve(as_dense(tri), b)) <= 1e-15
 
 
-def test_laplacian_takes_full_depth():
+def test_laplacian_takes_full_depth(as_dense):
     # rho = 1 exactly, so no early stop; one would leave the unit
     # off-diagonals of a level in place and miss the solution by O(1)
     n = 500
@@ -66,7 +66,7 @@ def test_laplacian_takes_full_depth():
     b = np.random.default_rng(22).normal(size=n)
     # condition number about 1e5: both solves carry that much round-off
     assert max_relative_error(solve(tri, b),
-                              np.linalg.solve(tri.to_dense(), b)) <= 1e-11
+                              np.linalg.solve(as_dense(tri), b)) <= 1e-11
 
 
 def with_identity_rows(tri, b, k):
@@ -95,8 +95,8 @@ def assert_same_solution(tri, b, extra_rows):
     x = solve(tri, b)
     for k in extra_rows:
         padded = solve(*with_identity_rows(tri, b, k))
-        assert padded[:tri.n].tobytes() == x.tobytes(), k
-        assert not padded[tri.n:].any()
+        assert padded[:b.size].tobytes() == x.tobytes(), k
+        assert not padded[b.size:].any()
 
 
 # The reduction pads to 2**d * q - 1 rows after an early stop at depth d;
@@ -122,12 +122,11 @@ def test_full_depth_ignores_identity_rows(n):
     assert_same_solution(tri, b, [1, 2, n, n + 1, 4 * n])
 
 
-def test_matvec_roundtrip():
+def test_matvec_roundtrip(as_dense):
     rng = np.random.default_rng(3)
     tri = random_system(rng, 40)
     x = rng.normal(size=40)
-    np.testing.assert_allclose(tri.matvec(x), tri.to_dense() @ x, rtol=1e-13)
-    np.testing.assert_allclose(solve(tri, tri.matvec(x)), x, rtol=1e-10)
+    np.testing.assert_allclose(solve(tri, as_dense(tri) @ x), x, rtol=1e-10)
 
 
 def test_singular_pivot_raises():
@@ -160,23 +159,26 @@ def relative_residual(tri, x, b):
     row_sums = np.abs(tri.diag)
     row_sums[:-1] += np.abs(tri.upper)
     row_sums[1:] += np.abs(tri.lower)
-    return np.abs(tri.matvec(x) - b).max() / (row_sums.max() * np.abs(x).max())
+    product = tri.diag * x
+    product[:-1] += tri.upper * x[1:]
+    product[1:] += tri.lower * x[:-1]
+    return np.abs(product - b).max() / (row_sums.max() * np.abs(x).max())
 
 
-def test_pure_transport_newton_matrix():
+def test_pure_transport_newton_matrix(as_dense):
     # kappa=0: the upwind Jacobian has no lower diagonal at all
     tri = newton_matrix(example3(kappa=0.0), dt=0.5)
     assert not tri.lower.any()
     assert tri.upper.any()
-    b = np.random.default_rng(7).normal(size=tri.n)
-    np.testing.assert_allclose(solve(tri, b), np.linalg.solve(tri.to_dense(), b),
+    b = np.random.default_rng(7).normal(size=tri.diag.size)
+    np.testing.assert_allclose(solve(tri, b), np.linalg.solve(as_dense(tri), b),
                                rtol=1e-12, atol=1e-12)
 
 
 def test_fine_grid_newton_matrix():
     tri = newton_matrix(dataclasses.replace(example3(), d=0.001), dt=0.1)
-    assert tri.n == 5000
-    b = np.random.default_rng(8).normal(size=tri.n)
+    assert tri.diag.size == 5000
+    b = np.random.default_rng(8).normal(size=5000)
     assert relative_residual(tri, solve(tri, b), b) <= 1e-14
 
 

@@ -12,10 +12,12 @@ A run produces plot-ready CSV/JSON files in its output directory:
 
 A run is configured by one JSON document, the --config file or
 {"scenario": NAME}, with the command-line values laid over it: a
-command-line value always replaces the file's. _resolve checks every key
-and number of that document once, then builds the run's Scenario,
-SolverSettings and config.json echo. A sweep resolves it once per
-member, with the swept value added to set, before the first solve.
+command-line value always replaces the file's. _resolve lays it over the
+sections of its preset's column (example1's for an inline document) and
+checks every key and number on that one path, once, then builds the
+run's Scenario, SolverSettings and config.json echo. A run is a sweep of
+one member: main resolves every member before the first solve and runs
+each through _execute; only a sweep writes sweep_summary.csv.
 
 Exit status: 0 success, 1 configuration error, 2 solver failure (the
 artifacts up to the failure time are still written).
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import diagnostics, scenarios
-from .discretization import BoundarySpec, Dirichlet, Flux, Robin, no_flux
+from .discretization import BoundarySpec, Dirichlet, Flux, Robin
 from .model import Parameters
 from .timestepper import FAILED, SolverSettings, integrate
 
@@ -51,11 +53,15 @@ _PARAM_KEYS = {
     "h": ("depth_h", 1.0),
 }
 _SET_KEYS = (*_PARAM_KEYS, "d")
-_SOLVER_KEYS = ("rel_tol", "abs_tol", "dt_init", "dt_min", "dt_max",
-                "newton_tol", "newton_max_iter", "safety")
+_SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverSettings))
 _TOP_KEYS = ("scenario", "params", "ic", "bc", "grid", "t_end",
              "output_times", "set", "solver")
 _END_CONDITIONS = {"dirichlet": Dirichlet, "flux": Flux, "robin": Robin}
+# The events every run reports, as (kind, threshold, the field of the event
+# that sweep_summary.csv shows); a threshold of None means the run's s_bar.
+_EVENTS = ((diagnostics.MAX_BELOW_SBAR, None, "time"),
+           (diagnostics.MAXMIN_BELOW_GAP, GAP_THRESHOLD, "time"),
+           (diagnostics.FRONT_DEPTH, FRONT_THRESHOLD, "value"))
 
 
 class ConfigError(ValueError):
@@ -114,10 +120,19 @@ def _end_condition(obj, where: str):
     return _built(cls, where, **numbers)
 
 
-def _end_condition_json(cond) -> dict:
-    kind = {cls: name for name, cls in _END_CONDITIONS.items()}[type(cond)]
-    return {"type": kind, **{f.name: float(getattr(cond, f.name))
-                             for f in dataclasses.fields(cond)}}
+def _sections(scenario: scenarios.Scenario) -> dict:
+    """The params, ic, bc and grid sections of a configuration document
+    that describe scenario's column."""
+    kinds = {cls: name for name, cls in _END_CONDITIONS.items()}
+    return {
+        "params": {key: getattr(scenario.params, field) / scale
+                   for key, (field, scale) in _PARAM_KEYS.items()},
+        "ic": [list(point) for point in scenario.ic.breakpoints],
+        "bc": {end: {"type": kinds[type(cond)], **dataclasses.asdict(cond)}
+               for end, cond in (("top", scenario.bc.top),
+                                 ("bottom", scenario.bc.bottom))},
+        "grid": {"d": scenario.d},
+    }
 
 
 def _breakpoints(points) -> list[tuple[float, float]]:
@@ -185,31 +200,28 @@ def _resolve(doc: dict) -> tuple[scenarios.Scenario, SolverSettings, dict]:
         if inline:
             raise _fail("config", f"scenario and inline fields {inline} are exclusive")
         base = _built(scenarios.by_name, "scenario", name=name)
-        ic, bc, t_end, preset_times = base.ic, base.bc, base.t_end, base.output_times
+        doc, preset_times = {"t_end": base.t_end, **doc}, base.output_times
     elif "ic" not in doc or "t_end" not in doc:
         raise _fail("config", "need a scenario name, or an inline ic and t_end")
     else:
-        # An inline column takes the values its document leaves out from
-        # the presets' column.
+        # An inline column takes the sections and params its document
+        # leaves out from the presets' column.
         base, preset_times = scenarios.example1(), ()
-        ic = _built(scenarios.ic_from_breakpoints, "ic", points=_breakpoints(doc["ic"]))
-        bc = no_flux()
-        if "bc" in doc:
-            ends = _check_keys(doc["bc"], ("top", "bottom"), "bc")
-            bc = BoundarySpec(top=_end_condition(ends.get("top"), "bc.top"),
-                              bottom=_end_condition(ends.get("bottom"), "bc.bottom"))
+    sections = _sections(base)
+    doc = {**sections, **doc}
 
-    fields, d = dataclasses.asdict(base.params), base.d
-    if "grid" in doc:
-        d = _number(_check_keys(doc["grid"], ("d",), "grid").get("d"), "grid.d")
+    ic = _built(scenarios.ic_from_breakpoints, "ic", points=_breakpoints(doc["ic"]))
+    ends = _check_keys(doc["bc"], ("top", "bottom"), "bc")
+    bc = BoundarySpec(top=_end_condition(ends.get("top"), "bc.top"),
+                      bottom=_end_condition(ends.get("bottom"), "bc.bottom"))
+    d = _number(_check_keys(doc["grid"], ("d",), "grid").get("d"), "grid.d")
     sets = _numbers(doc.get("set", {}), _SET_KEYS, "set")
-    numbers = {**_numbers(doc.get("params", {}), tuple(_PARAM_KEYS), "params"), **sets}
-    fields.update({field: scale * numbers[key]
-                   for key, (field, scale) in _PARAM_KEYS.items() if key in numbers})
-    params = _built(Parameters, "params", **fields)
+    numbers = {**sections["params"],
+               **_numbers(doc["params"], tuple(_PARAM_KEYS), "params"), **sets}
+    params = _built(Parameters, "params", **{
+        field: scale * numbers[key] for key, (field, scale) in _PARAM_KEYS.items()})
     d = sets.get("d", d)
-    if "t_end" in doc:
-        t_end = _number(doc["t_end"], "t_end")
+    t_end = _number(doc["t_end"], "t_end")
     if not 0.0 <= t_end < math.inf:
         raise _fail("t_end", f"must be finite and >= 0, got {t_end}")
     if "output_times" in doc:
@@ -235,17 +247,7 @@ def _resolve(doc: dict) -> tuple[scenarios.Scenario, SolverSettings, dict]:
         raise _fail("solver.newton_max_iter", f"not an integer: {iters}")
     settings = _built(SolverSettings, "solver", **{**solver, "newton_max_iter": int(iters)})
 
-    if name is not None:
-        echo = {"scenario": name}
-    else:
-        echo = {
-            "params": {key: getattr(params, field) / scale
-                       for key, (field, scale) in _PARAM_KEYS.items()},
-            "ic": [list(point) for point in ic.breakpoints],
-            "bc": {"top": _end_condition_json(bc.top),
-                   "bottom": _end_condition_json(bc.bottom)},
-            "grid": {"d": d},
-        }
+    echo = {"scenario": name} if name is not None else _sections(scenario)
     echo.update(t_end=t_end, output_times=list(output_times))
     if sets:
         echo["set"] = sets
@@ -284,15 +286,12 @@ def _execute(resolved, out: Path) -> tuple[int, dict]:
                zip(trace.times, trace.s_min, trace.s_max))
 
     events = []
-    for kind, threshold in ((diagnostics.MAX_BELOW_SBAR, p.s_bar),
-                            (diagnostics.MAXMIN_BELOW_GAP, GAP_THRESHOLD),
-                            (diagnostics.FRONT_DEPTH, FRONT_THRESHOLD)):
+    for kind, threshold, _ in _EVENTS:
+        threshold = p.s_bar if threshold is None else threshold
         report = diagnostics.detect_event(trace, kind, threshold, grid=grid)
         if report is not None:
-            events.append({"kind": report.kind, "time": report.time,
-                           "value": report.value, "threshold": threshold})
+            events.append({**dataclasses.asdict(report), "threshold": threshold})
     final = trace.final
-    metrics = diagnostics.instability_metrics(final)
     summary = {
         "events": events,
         "solver": {
@@ -306,40 +305,12 @@ def _execute(resolved, out: Path) -> tuple[int, dict]:
             "time": final.time,
             "mass": float(trace.mass[-1]),
             "drift": float(drift[-1]),
-            "undershoot": metrics.undershoot,
-            "overshoot": metrics.overshoot,
-            "zigzag": metrics.zigzag,
+            **diagnostics.instability_metrics(final)._asdict(),
         },
     }
     (out / "events.json").write_text(json.dumps(summary, indent=2) + "\n")
     (out / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
     return (2 if trace.status == FAILED else 0), summary
-
-
-def sweep(param: str, members: list, out_root: Path) -> int:
-    """One run per (label, resolved configuration) in its own subdirectory,
-    plus a summary."""
-    out_root.mkdir(parents=True, exist_ok=True)
-    header = ("value,status,exit,final_mass,final_drift,undershoot,overshoot,"
-              "zigzag,t_max_below_sbar,t_gap_below,front_depth")
-    lines = []
-    any_success = False
-    for label, resolved in members:
-        code, summary = _execute(resolved, out_root / f"{param}={label}")
-        any_success = any_success or code == 0
-        events = {e["kind"]: e for e in summary["events"]}
-        below_sbar, gap_below, front = (events.get(kind, {}) for kind in (
-            diagnostics.MAX_BELOW_SBAR, diagnostics.MAXMIN_BELOW_GAP,
-            diagnostics.FRONT_DEPTH))
-        final = summary["final"]
-        lines.append(",".join(str(v) for v in (
-            label, summary["solver"]["status"], code, final["mass"],
-            final["drift"], final["undershoot"], final["overshoot"],
-            final["zigzag"], below_sbar.get("time", ""),
-            gap_below.get("time", ""), front.get("value", ""))))
-    (out_root / "sweep_summary.csv").write_text(header + "\n" + "\n".join(lines) + "\n")
-    print(header, *lines, sep="\n")
-    return 0 if any_success else 2
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -370,21 +341,39 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         doc = _document(args)
-        if args.command == "sweep":
+        if args.command == "run":
+            members = [(None, Path(args.out), _resolve(doc))]
+        else:
             labels = [v.strip() for v in args.values.split(",") if v.strip()]
             if not labels:
                 raise _fail("--values", "need at least one value")
             # Every member is checked before the first one is solved.
-            members = [(label, _resolve(_laid_over(doc, "set", {args.param: label})))
+            members = [(label, Path(args.out) / f"{args.param}={label}",
+                        _resolve(_laid_over(doc, "set", {args.param: label})))
                        for label in labels]
-            return sweep(args.param, members, Path(args.out))
-        code, summary = _execute(_resolve(doc), Path(args.out))
-        if code == 2:
-            print(f"solver failure: {summary['solver']['reason']}", file=sys.stderr)
-        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+
+    codes, lines = [], []
+    for label, out, resolved in members:
+        code, summary = _execute(resolved, out)
+        codes.append(code)
+        events = {event["kind"]: event for event in summary["events"]}
+        final = summary["final"]
+        lines.append(",".join(str(v) for v in (
+            label, summary["solver"]["status"], code, final["mass"],
+            final["drift"], final["undershoot"], final["overshoot"],
+            final["zigzag"], *(events.get(kind, {}).get(field, "")
+                               for kind, _, field in _EVENTS))))
+    if args.command == "sweep":
+        header = ("value,status,exit,final_mass,final_drift,undershoot,overshoot,"
+                  "zigzag,t_max_below_sbar,t_gap_below,front_depth")
+        Path(args.out, "sweep_summary.csv").write_text("\n".join([header, *lines, ""]))
+        print(header, *lines, sep="\n")
+    elif code == 2:
+        print(f"solver failure: {summary['solver']['reason']}", file=sys.stderr)
+    return min(codes)  # 0 when any member succeeded, else 2
 
 
 if __name__ == "__main__":

@@ -59,8 +59,6 @@ def _cross_time(times: np.ndarray, series: np.ndarray, threshold: float,
         return float(times[0])
     t0, t1 = times[k - 1], times[k]
     y0, y1 = series[k - 1], series[k]
-    if y1 == y0:
-        return float(t1)
     return float(t0 + (threshold - y0) * (t1 - t0) / (y1 - y0))
 
 

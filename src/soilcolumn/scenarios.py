@@ -10,6 +10,7 @@ stability and stickiness studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,8 +38,8 @@ def sandy_loam_sbar(theta_r: float = SANDY_LOAM_THETA_R,
 class PiecewiseLinearIC:
     """Piecewise-linear saturation profile with constant extension.
 
-    breakpoints are (z, s) pairs with strictly increasing z and s in
-    [0, 1]; between breakpoints the profile interpolates linearly and
+    breakpoints are (z, s) pairs with finite, strictly increasing z and
+    s in [0, 1]; between breakpoints the profile interpolates linearly and
     beyond the first/last it continues with their values.
     """
 
@@ -51,6 +52,8 @@ class PiecewiseLinearIC:
         if any(b <= a for a, b in zip(zs, zs[1:])):
             raise ValueError(f"breakpoint depths must strictly increase: {zs}")
         for z, s in self.breakpoints:
+            if not math.isfinite(z):
+                raise ValueError(f"breakpoint depth z={z} is not finite")
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"saturation {s} at z={z} outside [0, 1]")
 

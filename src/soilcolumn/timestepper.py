@@ -77,12 +77,10 @@ class SolverSettings:
             raise ValueError(
                 f"need 0 < dt_min < dt_init <= dt_max, got "
                 f"{self.dt_min}, {self.dt_init}, {self.dt_max}")
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not self.newton_tol > 0.0:
-            raise ValueError(f"newton_tol must be > 0, got {self.newton_tol}")
+        for name in ("rel_tol", "abs_tol", "newton_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         iters = self.newton_max_iter
         if not isinstance(iters, (int, np.integer)) or iters < 1:
             raise ValueError(f"newton_max_iter must be an integer >= 1, got {iters}")

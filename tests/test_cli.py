@@ -285,12 +285,35 @@ class TestConfigErrors:
         ["--set", "d=1e-9"],
         ["--rel-tol", "0"],
         ["--rel-tol", "nan"],
+        ["--rel-tol", "inf"],
+        ["--set", "kappa"],
     ])
     def test_rejected_before_solving(self, tmp_path, capsys, no_solver, args):
         code = main(["run", "--scenario", "example3", *args,
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text, args", [
+        (None, ["run", "--config", "CONFIG"]),  # no such file
+        ("[1, 2]", ["run", "--config", "CONFIG"]),
+        ('{"scenario": "example3", "set": 5}',
+         ["run", "--config", "CONFIG", "--set", "kappa=0.01"]),
+        (None, ["sweep", "--scenario", "example3", "--param", "kappa",
+                "--values", ","]),
+    ])
+    def test_file_and_flag_errors_write_nothing(self, tmp_path, capsys,
+                                                no_solver, text, args):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        out = tmp_path / "x"
+        code = main([str(config) if arg == "CONFIG" else arg for arg in args]
+                    + ["--out", str(out)])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc", [
         {"params": {"kappa": -1.0}},

@@ -314,6 +314,13 @@ class TestCharacteristicsOracle:
         with pytest.raises(OracleInvalidError):
             characteristics_oracle(ic, -3.5, 2.0, self.P0)
 
+    def test_no_root_raises(self):
+        # s = 1.5 has no solution s in [0, 1.2]
+        def ic(z):
+            return np.full(np.shape(z), 1.5)
+        with pytest.raises(OracleInvalidError, match="no root"):
+            characteristics_oracle(ic, -1.0, 1.0, self.P0)
+
     def test_preconditions_enforced(self):
         ic = ic_from_breakpoints([(-5.0, 0.1), (0.0, 0.1)])
         with pytest.raises(ValueError):

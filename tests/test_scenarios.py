@@ -127,6 +127,16 @@ class TestIcFromBreakpoints:
         with pytest.raises(ValueError):
             ic_from_breakpoints([])
 
+    @pytest.mark.parametrize("points", [
+        [(float("nan"), 0.1)],
+        [(-1.0, 0.1), (float("nan"), 0.2)],
+        [(float("-inf"), 0.1), (0.0, 0.2)],
+        [(-1.0, 0.1), (float("inf"), 0.2)],
+    ])
+    def test_non_finite_depth_rejected(self, points):
+        with pytest.raises(ValueError, match="not finite"):
+            ic_from_breakpoints(points)
+
 
 def test_scenario_rejects_breakpoints_outside_column():
     scn = example1()

@@ -38,6 +38,10 @@ class TestSolverSettings:
         dict(newton_max_iter=float("inf")),
         dict(safety=0.0),
         dict(safety=1.5),
+        dict(rel_tol=float("inf")),
+        dict(abs_tol=float("inf")),
+        dict(newton_tol=float("inf")),
+        dict(newton_tol=0.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -351,6 +351,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             members = [(label, Path(args.out) / f"{args.param}={label}",
                         _resolve(_laid_over(doc, "set", {args.param: label})))
                        for label in labels]
+            # Two values with one configuration echo, such as 0.01 and
+            # 0.010, would solve the same member twice.
+            echoes = [resolved[2] for _, _, resolved in members]
+            for i, label in enumerate(labels):
+                if echoes[i] in echoes[:i]:
+                    raise _fail("--values", f"{label} repeats an earlier value")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

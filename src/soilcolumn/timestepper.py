@@ -328,7 +328,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
             except NewtonError as exc:
                 rejected_newton += 1
                 dt *= 0.5
-                if dt < settings.dt_min:
+                if not dt >= settings.dt_min:
                     failure = f"step size underflow after Newton failure: {exc}"
                     break
                 continue
@@ -347,8 +347,12 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                 dt_next = min(max(dt * factor, settings.dt_min), settings.dt_max)
                 break
             rejected_error += 1
-            dt *= max(settings.safety * err ** CONTROL_EXPONENT, SHRINK_CAP)
-            if dt < settings.dt_min:
+            # A NaN estimate must end in underflow, not loop: it shrinks
+            # the step by SHRINK_CAP (max(nan, SHRINK_CAP) is nan), and
+            # the guards read "not dt >= dt_min" (nan < dt_min is false).
+            shrink = settings.safety * err ** CONTROL_EXPONENT
+            dt *= shrink if shrink > SHRINK_CAP else SHRINK_CAP
+            if not dt >= settings.dt_min:
                 failure = (
                     f"step size underflow below dt_min={settings.dt_min} "
                     f"(error estimate {err:.3g})")

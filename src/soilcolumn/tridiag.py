@@ -1,4 +1,5 @@
-"""Tridiagonal matrices and the cyclic-reduction solve of the Newton iteration."""
+"""Tridiagonal matrices and the solve of the Newton iteration: odd-even
+cyclic reduction, finished by a Thomas sweep once fewer than 64 rows are left."""
 
 from __future__ import annotations
 
@@ -25,6 +26,12 @@ class Tridiagonal:
     upper: np.ndarray
 
 
+# A coupled system is reduced until fewer than 2**SWEEP_BITS rows are
+# left, and those are solved by a sequential sweep: below that size a
+# level's round of NumPy calls costs more than the rows it eliminates.
+SWEEP_BITS = 6
+
+
 def _dominant_depth(rho: float) -> int:
     """Levels after which rho**(2**k) <= 2**-53, for 0 <= rho < 1."""
     if rho == 0.0:
@@ -32,32 +39,60 @@ def _dominant_depth(rho: float) -> int:
     return max(0, math.ceil(math.log2(math.log(2.0 ** -53) / math.log(rho))))
 
 
+def _sweep(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> list:
+    """Solve -a[i]*x[i-1] + b[i]*x[i] - c[i]*x[i+1] = d[i] by Thomas
+    elimination on Python floats, without pivoting; a[0] and c[-1]
+    multiply the zero borders. ZeroDivisionError on a zero pivot."""
+    upper = []
+    rhs = []
+    cp = dp = 0.0
+    for ai, bi, ci, di in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()):
+        pivot = bi - ai * cp
+        cp = ci / pivot
+        dp = (di + ai * dp) / pivot
+        upper.append(cp)
+        rhs.append(dp)
+    x = [0.0] * len(rhs)
+    xi = 0.0
+    for i in range(len(rhs) - 1, -1, -1):
+        xi = rhs[i] + upper[i] * xi
+        x[i] = xi
+    return x
+
+
 def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     """Solve tri @ x = rhs by odd-even cyclic reduction (no pivoting).
 
     Each level eliminates the even-indexed rows from their odd-indexed
     neighbours, which leaves a tridiagonal system of (m - 1) / 2 rows in
-    the odd unknowns. When the last level is reached, its rows are
-    solved directly; back-substitution then recovers the even unknowns
-    of each level from its stored rows. That is the O(n) work of
-    Gaussian elimination done in at most log2(n) vectorised passes.
-    Without pivoting it is stable on diagonally dominant matrices, such
-    as the M-matrix I - dt*J of the implicit step.
+    the odd unknowns. The rows of the last level are solved directly;
+    back-substitution then recovers the even unknowns of each level from
+    its stored rows. That is the O(n) work of Gaussian elimination done
+    in vectorised passes. Without pivoting it is stable on diagonally
+    dominant matrices, such as the M-matrix I - dt*J of the implicit step.
 
-    The reduction stops early on strictly row-dominant systems. With
+    The depth follows from the coupled rows, those up to the last row
+    with a nonzero off-diagonal (none when rho = 0, defined below). For
+    C coupled rows, C of L bits, the reduction runs k = max(0, L -
+    SWEEP_BITS) levels, which leaves fewer than 2**SWEEP_BITS = 64 of
+    them, and a sequential Thomas sweep on Python floats solves those
+    and the first row past them. Any rows after that are uncoupled, and
+    each is solved as x = d / b.
+
+    The reduction stops earlier on strictly row-dominant systems. With
     rho = max_i (|a_i| + |c_i|) / |b_i| < 1, the off-diagonals of level
-    k are at most rho**(2**k) of their diagonal (Heller 1976), so after
-    k = ceil(log2(log(2**-53) / log(rho))) levels they are within the
+    j are at most rho**(2**j) of their diagonal (Heller 1976), so after
+    j = ceil(log2(log(2**-53) / log(rho))) levels they are within the
     unit round-off 2**-53 and each remaining row is solved as x = d / b.
-    Otherwise (rho >= 1, or not finite) the reduction runs to its single
-    row, after L - 1 levels for an n of L bits.
+    That stop is taken when j <= k; otherwise (a larger j, rho >= 1, or
+    rho not finite) the k levels and the sweep are.
 
     The depth is fixed from the unpadded rows first. The system is then
     padded with identity rows to the fewest rows that this depth splits
     evenly, m = 2**depth * ceil((n + 1) / 2**depth) - 1, which leaves
-    ceil((n + 1) / 2**depth) - 1 rows on the last level; at full depth
-    that is m = 2**L - 1 and one row. Identity rows are uncoupled from
-    the system, so the first n unknowns do not depend on their number.
+    ceil((n + 1) / 2**depth) - 1 rows on the last level. Identity rows
+    are uncoupled from the system, so neither the depth nor the first n
+    unknowns depend on their number.
 
     Raises ValueError when rhs does not match the matrix size, and
     SingularMatrixError when a pivot vanishes or the solution is not
@@ -66,17 +101,25 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     n = tri.diag.size
     if rhs.size != n:
         raise ValueError(f"rhs length {rhs.size} != matrix size {n}")
-    # A zero pivot turns its own unknown into inf or nan, so the
-    # finiteness check on the solution catches it without a test per level.
+    # A zero pivot of the reduction turns its own unknown into inf or
+    # nan, so the finiteness check on the solution catches it without a
+    # test per level; the sweep's Python floats raise instead.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         off = np.zeros(n)
         np.abs(tri.lower, off[1:])
         off[:-1] += np.abs(tri.upper)
         off /= np.abs(tri.diag)
         rho = off.max()
-        depth = n.bit_length() - 1
-        if 0.0 <= rho < 1.0:
-            depth = min(depth, _dominant_depth(rho))
+        # The rows up to the last one with a nonzero off-diagonal, found
+        # without a pass over off when that is the last row. (At rho = 0
+        # there is none, and the early stop at depth 0 comes first.)
+        coupled_rows = n
+        if off[-1] == 0.0:
+            coupled_rows -= int((off != 0.0)[::-1].argmax())
+        depth = max(0, coupled_rows.bit_length() - SWEEP_BITS)
+        stop = _dominant_depth(rho) if 0.0 <= rho < 1.0 else math.inf
+        sweep = stop > depth
+        depth = min(depth, stop)
         m = (((n >> depth) + 1) << depth) - 1
         # Row i reads -a[i]*x[i-1] + b[i]*x[i] - c[i]*x[i+1] = d[i]: with
         # the off-diagonals stored negated, the reduction needs no
@@ -108,10 +151,20 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
         # j of the level with stride `step` is row (j + 1) * step / 2 - 1,
         # so its even rows sit at step/2, 3*step/2, ... and their
         # neighbours, solved one level up, half a stride to either side.
-        # The last level's off-diagonals are zero or within round-off.
+        # The sweep takes the last level's rows up to the first one past
+        # the coupled rows. The rows after it have no off-diagonals, and
+        # after an early stop none has more than round-off: x = d / b.
         x = np.zeros(m + 2)
         step = 1 << depth
-        np.divide(d, b, x[step:-1:step])
+        last = x[step:-1:step]
+        swept = 0
+        if sweep:
+            swept = (coupled_rows >> depth) + 1
+            try:
+                last[:swept] = _sweep(a[:swept], b[:swept], c[:swept], d[:swept])
+            except ZeroDivisionError:
+                raise SingularMatrixError("zero pivot") from None
+        np.divide(d[swept:], b[swept:], last[swept:])
         for a, b, c, d in reversed(levels[:-1]):
             even = a[::2] * x[:-1:step]
             np.add(d[::2], even, even)

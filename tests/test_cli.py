@@ -302,6 +302,10 @@ class TestConfigErrors:
          ["run", "--config", "CONFIG", "--set", "kappa=0.01"]),
         (None, ["sweep", "--scenario", "example3", "--param", "kappa",
                 "--values", ","]),
+        (None, ["sweep", "--scenario", "example3", "--param", "kappa",
+                "--values", "0.01,0.01"]),
+        (None, ["sweep", "--scenario", "example3", "--param", "kappa",
+                "--values", "0.01,0.010"]),
     ])
     def test_file_and_flag_errors_write_nothing(self, tmp_path, capsys,
                                                 no_solver, text, args):

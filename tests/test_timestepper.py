@@ -400,3 +400,30 @@ def test_trace_state_lookup():
     assert 1 not in trace.kept
     with pytest.raises(ValueError, match="not kept"):
         trace.state_at(trace.times[1])
+
+
+def test_nan_error_estimate_fails_the_run(monkeypatch):
+    # a NaN estimate is rejected like any other above 1 and shrinks the
+    # step to underflow; the bound on stage calls turns an endless retry
+    # loop into a test failure
+    calls = {"estimate": 0, "stage": 0}
+    solve = timestepper._newton_solve
+
+    def nan_estimate(*args):
+        calls["estimate"] += 1
+        return float("nan")
+
+    def bounded_solve(*args):
+        calls["stage"] += 1
+        assert calls["stage"] < 200, "the step size never underflows"
+        return solve(*args)
+
+    monkeypatch.setattr(timestepper, "_error_estimate", nan_estimate)
+    monkeypatch.setattr(timestepper, "_newton_solve", bounded_solve)
+    scn = example3()
+    g = scn.build_grid()
+    trace = integrate(scn.initial_state(g), 0.01, [0.01], g, scn.params, scn.bc)
+    assert trace.status == FAILED
+    assert trace.failure_reason.startswith("step size underflow")
+    assert trace.rejected_error == calls["estimate"]
+    assert len(trace) == 1

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soilcolumn
+from soilcolumn import tridiag
 from soilcolumn.discretization import jacobian
 from soilcolumn.scenarios import example3
 from soilcolumn.tridiag import (
-    SingularMatrixError, Tridiagonal, _dominant_depth, solve)
+    SWEEP_BITS, SingularMatrixError, Tridiagonal, _dominant_depth, solve)
 
 
 def random_system(rng, n):
@@ -139,6 +140,31 @@ def test_singular_pivot_raises():
               np.array([1.0]))
 
 
+def test_sweep_zero_pivot_raises():
+    # nonsingular (det -1), and the reduction's one level pivots on the
+    # first and last rows; the sweep's elimination without pivoting meets
+    # 1 - 1*1 = 0 in the middle row
+    tri = Tridiagonal(lower=np.ones(2), diag=np.ones(3), upper=np.ones(2))
+    with pytest.raises(SingularMatrixError):
+        solve(tri, np.ones(3))
+
+
+def sweep_depth(n):
+    """The levels the reduction runs before the sweep on n coupled rows."""
+    return max(0, n.bit_length() - SWEEP_BITS)
+
+
+def test_early_stop_past_sweep_depth(as_dense):
+    # rho < 1, but the early stop after 5 levels lies past the 3 that
+    # leave fewer than 64 of 500 rows, so the sweep solves those
+    assert sweep_depth(500) == 3
+    rng = np.random.default_rng(23)
+    tri = dominant_system(rng, 500, 5)
+    b = rng.normal(size=500)
+    assert max_relative_error(solve(tri, b),
+                              np.linalg.solve(as_dense(tri), b)) <= 1e-12
+
+
 def test_size_mismatch_raises():
     tri = Tridiagonal(lower=np.array([1.0]), diag=np.array([2.0, 2.0]),
                       upper=np.array([1.0]))
@@ -180,6 +206,55 @@ def test_fine_grid_newton_matrix():
     assert tri.diag.size == 5000
     b = np.random.default_rng(8).normal(size=5000)
     assert relative_residual(tri, solve(tri, b), b) <= 1e-14
+
+
+# Both take the sweep: at dt=0.001 the n=5000 matrix has rho = 0.92,
+# whose early stop after 9 levels lies past the sweep's 7; at dt=0.1
+# the n=20000 matrix has rho > 1.
+@pytest.mark.parametrize("d, dt", [(0.001, 0.001), (0.00025, 0.1)])
+def test_coupled_fine_grid_newton_matrix(d, dt):
+    tri = newton_matrix(dataclasses.replace(example3(), d=d), dt=dt)
+    n = tri.diag.size
+    rho = ((np.abs(np.append(tri.upper, 0.0)) + np.abs(np.insert(tri.lower, 0, 0.0)))
+           / np.abs(tri.diag)).max()
+    assert rho >= 1.0 or _dominant_depth(rho) > sweep_depth(n)
+    b = np.random.default_rng(n).normal(size=n)
+    assert relative_residual(tri, solve(tri, b), b) <= 1e-14
+
+
+# Uncoupled rows at the end of the input itself, not identity rows, and
+# a coupled block that takes the sweep: rho = 1, or an early stop after
+# 5 levels past the sweep's 3. However many rows follow, the sweep takes
+# at most 64.
+@pytest.mark.parametrize("coupled", ["laplacian", "dominant"])
+def test_trailing_uncoupled_rows_keep_the_solution(coupled, monkeypatch):
+    swept = []
+    sweep = tridiag._sweep
+
+    def recorded(a, b, c, d):
+        swept.append(b.size)
+        return sweep(a, b, c, d)
+
+    monkeypatch.setattr(tridiag, "_sweep", recorded)
+    n = 500
+    rng = np.random.default_rng(24)
+    if coupled == "laplacian":
+        tri = Tridiagonal(lower=-np.ones(n - 1), diag=np.full(n, 2.0),
+                          upper=-np.ones(n - 1))
+    else:
+        tri = dominant_system(rng, n, 5)
+    b = rng.normal(size=n)
+    x = solve(tri, b)
+    for k in (1, 40, 3 * n):
+        diag = rng.uniform(1.0, 2.0, k)
+        rhs = rng.normal(size=k)
+        extended = Tridiagonal(lower=np.append(tri.lower, np.zeros(k)),
+                               diag=np.append(tri.diag, diag),
+                               upper=np.append(tri.upper, np.zeros(k)))
+        y = solve(extended, np.append(b, rhs))
+        assert y[:n].tobytes() == x.tobytes(), k
+        np.testing.assert_array_equal(y[n:], rhs / diag)
+    assert 0 < max(swept) <= 64
 
 
 @st.composite

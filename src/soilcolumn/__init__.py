@@ -14,8 +14,6 @@ from .diagnostics import (
     MAXMIN_BELOW_GAP,
     EventReport,
     InstabilityMetrics,
-    OracleInvalidError,
-    characteristics_oracle,
     detect_event,
     instability_metrics,
     mass_balance_audit,
@@ -60,10 +58,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Accepted", "BoundarySpec", "Dirichlet", "EventReport", "Flux", "Grid",
-    "InstabilityMetrics", "NewtonError", "OracleInvalidError", "Parameters",
+    "InstabilityMetrics", "NewtonError", "Parameters",
     "PiecewiseLinearIC", "Robin", "Scenario", "SolverSettings", "State",
     "Trace", "FRONT_DEPTH", "MAX_BELOW_SBAR", "MAXMIN_BELOW_GAP",
-    "accepted_states", "build_grid", "characteristics_oracle", "detect_event",
+    "accepted_states", "build_grid", "detect_event",
     "example1", "example2", "example3", "gravity_flux",
     "gravity_flux_derivative", "ic_from_breakpoints", "instability_metrics",
     "integrate", "mass_balance_audit", "no_flux", "positive_part", "record",

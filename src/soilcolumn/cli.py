@@ -263,15 +263,15 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _execute(resolved, out: Path) -> tuple[int, dict]:
-    """Run one resolved configuration and write its artifact set to out;
-    returns the exit status and the events.json summary."""
+    """Run one resolved configuration and write its artifact set to the
+    existing directory out; returns the exit status and the events.json
+    summary."""
     scenario, settings, echo = resolved
     grid = scenario.build_grid()
     p, bc = scenario.params, scenario.bc
     trace = integrate(scenario.initial_state(grid), scenario.t_end,
                       scenario.output_times, grid, p, bc, settings)
 
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for t in scenario.output_times:
         try:
@@ -357,6 +357,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             for i, label in enumerate(labels):
                 if echoes[i] in echoes[:i]:
                     raise _fail("--values", f"{label} repeats an earlier value")
+        # An --out that names a file fails here, before any solve.
+        for _, out, _ in members:
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise _fail("--out", str(exc)) from None
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

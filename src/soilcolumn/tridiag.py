@@ -3,7 +3,6 @@ cyclic reduction, finished by a Thomas sweep once fewer than 64 rows are left.""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +29,6 @@ class Tridiagonal:
 # left, and those are solved by a sequential sweep: below that size a
 # level's round of NumPy calls costs more than the rows it eliminates.
 SWEEP_BITS = 6
-
-
-def _dominant_depth(rho: float) -> int:
-    """Levels after which rho**(2**k) <= 2**-53, for 0 <= rho < 1."""
-    if rho == 0.0:
-        return 0
-    return max(0, math.ceil(math.log2(math.log(2.0 ** -53) / math.log(rho))))
 
 
 def _sweep(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> list:
@@ -72,20 +64,11 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     dominant matrices, such as the M-matrix I - dt*J of the implicit step.
 
     The depth follows from the coupled rows, those up to the last row
-    with a nonzero off-diagonal (none when rho = 0, defined below). For
-    C coupled rows, C of L bits, the reduction runs k = max(0, L -
-    SWEEP_BITS) levels, which leaves fewer than 2**SWEEP_BITS = 64 of
-    them, and a sequential Thomas sweep on Python floats solves those
-    and the first row past them. Any rows after that are uncoupled, and
-    each is solved as x = d / b.
-
-    The reduction stops earlier on strictly row-dominant systems. With
-    rho = max_i (|a_i| + |c_i|) / |b_i| < 1, the off-diagonals of level
-    j are at most rho**(2**j) of their diagonal (Heller 1976), so after
-    j = ceil(log2(log(2**-53) / log(rho))) levels they are within the
-    unit round-off 2**-53 and each remaining row is solved as x = d / b.
-    That stop is taken when j <= k; otherwise (a larger j, rho >= 1, or
-    rho not finite) the k levels and the sweep are.
+    with a nonzero off-diagonal. For C coupled rows, C of L bits, the
+    reduction runs k = max(0, L - SWEEP_BITS) levels, which leaves fewer
+    than 2**SWEEP_BITS = 64 of them, and a sequential Thomas sweep on
+    Python floats solves those and the first row past them. Any rows
+    after that are uncoupled, and each is solved as x = d / b.
 
     The depth is fixed from the unpadded rows first. The system is then
     padded with identity rows to the fewest rows that this depth splits
@@ -105,21 +88,16 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     # nan, so the finiteness check on the solution catches it without a
     # test per level; the sweep's Python floats raise instead.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        off = np.zeros(n)
-        np.abs(tri.lower, off[1:])
-        off[:-1] += np.abs(tri.upper)
-        off /= np.abs(tri.diag)
-        rho = off.max()
-        # The rows up to the last one with a nonzero off-diagonal, found
-        # without a pass over off when that is the last row. (At rho = 0
-        # there is none, and the early stop at depth 0 comes first.)
+        # Every Newton matrix at kappa > 0 couples its last row, so the
+        # pass that finds the last coupled row runs only for the others.
         coupled_rows = n
-        if off[-1] == 0.0:
-            coupled_rows -= int((off != 0.0)[::-1].argmax())
+        if n < 2 or tri.lower[-1] == 0.0:
+            off = np.zeros(n)
+            np.abs(tri.lower, off[1:])
+            off[:-1] += np.abs(tri.upper)
+            coupled = np.flatnonzero(off)
+            coupled_rows = int(coupled[-1]) + 1 if coupled.size else 0
         depth = max(0, coupled_rows.bit_length() - SWEEP_BITS)
-        stop = _dominant_depth(rho) if 0.0 <= rho < 1.0 else math.inf
-        sweep = stop > depth
-        depth = min(depth, stop)
         m = (((n >> depth) + 1) << depth) - 1
         # Row i reads -a[i]*x[i-1] + b[i]*x[i] - c[i]*x[i+1] = d[i]: with
         # the off-diagonals stored negated, the reduction needs no
@@ -152,18 +130,16 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
         # so its even rows sit at step/2, 3*step/2, ... and their
         # neighbours, solved one level up, half a stride to either side.
         # The sweep takes the last level's rows up to the first one past
-        # the coupled rows. The rows after it have no off-diagonals, and
-        # after an early stop none has more than round-off: x = d / b.
+        # the coupled rows; the rows after it have no off-diagonals, and
+        # each is x = d / b.
         x = np.zeros(m + 2)
         step = 1 << depth
         last = x[step:-1:step]
-        swept = 0
-        if sweep:
-            swept = (coupled_rows >> depth) + 1
-            try:
-                last[:swept] = _sweep(a[:swept], b[:swept], c[:swept], d[:swept])
-            except ZeroDivisionError:
-                raise SingularMatrixError("zero pivot") from None
+        swept = (coupled_rows >> depth) + 1
+        try:
+            last[:swept] = _sweep(a[:swept], b[:swept], c[:swept], d[:swept])
+        except ZeroDivisionError:
+            raise SingularMatrixError("zero pivot") from None
         np.divide(d[swept:], b[swept:], last[swept:])
         for a, b, c, d in reversed(levels[:-1]):
             even = a[::2] * x[:-1:step]

@@ -12,14 +12,15 @@ import pytest
 
 from soilcolumn.diagnostics import (
     FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, InstabilityMetrics,
-    characteristics_oracle, detect_event, instability_metrics,
-    mass_balance_audit)
+    detect_event, instability_metrics, mass_balance_audit)
 from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
     jacobian, no_flux, rhs)
 from soilcolumn.model import Parameters
 from soilcolumn.scenarios import example1, example2, example3
 from soilcolumn.timestepper import SolverSettings, integrate
+
+from oracles import characteristics_oracle
 
 
 def run_scenario(scn, t_end=None, output_times=None, run=integrate):

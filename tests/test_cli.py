@@ -272,6 +272,17 @@ class TestConfigErrors:
         assert main(["run", "--scenario", "example3", "--set", "kappa=-1",
                      "--out", str(tmp_path / "x")]) == 1
 
+    # An --out that names a file is refused before anything is solved.
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario", "example3"],
+        ["sweep", "--scenario", "example3", "--param", "kappa", "--values", "0.01,0"]])
+    def test_out_names_a_file(self, command, tmp_path, capsys, no_solver):
+        path = tmp_path / "x"
+        path.write_text("kept")
+        assert main([*command, "--t-end", "0.001", "--out", str(path)]) == 1
+        assert "configuration error: --out" in capsys.readouterr().err
+        assert path.read_text() == "kept"
+
     @pytest.mark.parametrize("args", [
         ["--t-end", "inf"],
         ["--t-end", "nan"],

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from soilcolumn.diagnostics import (
-    FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, OracleInvalidError,
-    characteristics_oracle, detect_event, instability_metrics,
-    mass_balance_audit)
+    FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, detect_event,
+    instability_metrics, mass_balance_audit)
 from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
     no_flux, rhs)
@@ -16,6 +15,8 @@ from soilcolumn.scenarios import example1, example2, example3, ic_from_breakpoin
 from soilcolumn.timestepper import (
     FAILED, GAMMA, W_BDF2, W_TRAPEZOID, SolverSettings, Trace, _newton_solve,
     integrate)
+
+from oracles import OracleInvalidError, characteristics_oracle
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 

@@ -15,7 +15,7 @@ from soilcolumn import tridiag
 from soilcolumn.discretization import jacobian
 from soilcolumn.scenarios import example3
 from soilcolumn.tridiag import (
-    SWEEP_BITS, SingularMatrixError, Tridiagonal, _dominant_depth, solve)
+    SWEEP_BITS, SingularMatrixError, Tridiagonal, solve)
 
 
 def random_system(rng, n):
@@ -28,9 +28,9 @@ def random_system(rng, n):
     return Tridiagonal(lower=lower, diag=diag, upper=upper)
 
 
-# Sizes on both sides of 2**k - 1, the rows a full-depth reduction pads
-# to; test_solution_ignores_identity_rows covers the shorter pads of an
-# early stop.
+# Sizes on both sides of 2**k - 1 and of the 64 rows past which the
+# reduction runs its first level; test_solution_ignores_identity_rows
+# covers the identity rows it pads with.
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 10, 500, 511, 512, 513])
 def test_solve_matches_dense(n, as_dense):
     rng = np.random.default_rng(n)
@@ -45,8 +45,8 @@ def max_relative_error(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
 
 
-# rho = 0 solves every row as x = d / b; rho of about 1e-3 stops the
-# reduction after 3 of its 8 levels.
+# rho = 0 leaves no coupled rows, and the sweep takes only the first;
+# rho of about 1e-3 is reduced 3 levels and swept like any other system.
 @pytest.mark.parametrize("off", [0.0, 5e-4])
 def test_dominant_matrix_stops_early(off, as_dense):
     rng = np.random.default_rng(20)
@@ -59,8 +59,8 @@ def test_dominant_matrix_stops_early(off, as_dense):
 
 
 def test_laplacian_takes_full_depth(as_dense):
-    # rho = 1 exactly, so no early stop; one would leave the unit
-    # off-diagonals of a level in place and miss the solution by O(1)
+    # rho = 1 exactly: the unit off-diagonals do not shrink from level to
+    # level, so rows solved as x = d / b would miss the solution by O(1)
     n = 500
     tri = Tridiagonal(lower=-np.ones(n - 1), diag=np.full(n, 2.0),
                       upper=-np.ones(n - 1))
@@ -80,16 +80,14 @@ def with_identity_rows(tri, b, k):
 
 
 def dominant_system(rng, n, depth):
-    """A system whose rho stops the reduction after `depth` levels."""
+    """A row-dominant system whose off-diagonals fall below the unit
+    round-off relative to the diagonal after `depth` levels (Heller 1976)."""
     # rho**(2**depth) = 2**(-4/3*53) and rho**(2**(depth-1)) = 2**(-2/3*53);
     # the off-diagonal row sums fall in [rho/2, rho].
     rho = 2.0 ** (-53.0 / (0.75 * 2 ** depth))
     lower, upper = (0.25 * rho * rng.uniform(1.0, 2.0, size=(2, n - 1))
                     * rng.choice([-1.0, 1.0], size=(2, n - 1)))
-    tri = Tridiagonal(lower=lower, diag=np.ones(n), upper=upper)
-    rows = np.abs(np.concatenate([[0.0], lower])) + np.abs(np.append(upper, 0.0))
-    assert _dominant_depth(rows.max()) == depth
-    return tri
+    return Tridiagonal(lower=lower, diag=np.ones(n), upper=upper)
 
 
 def assert_same_solution(tri, b, extra_rows):
@@ -100,8 +98,9 @@ def assert_same_solution(tri, b, extra_rows):
         assert not padded[b.size:].any()
 
 
-# The reduction pads to 2**d * q - 1 rows after an early stop at depth d;
-# n on both sides of that, extended past it and past the next multiple.
+# Row-dominant systems of n rows on both sides of 2**d * q - 1, extended
+# by identity rows past that and past the next multiple; up to n = 160
+# they run 0 to 2 levels before the sweep.
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("q", [2, 5])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -155,8 +154,9 @@ def sweep_depth(n):
 
 
 def test_early_stop_past_sweep_depth(as_dense):
-    # rho < 1, but the early stop after 5 levels lies past the 3 that
-    # leave fewer than 64 of 500 rows, so the sweep solves those
+    # rho < 1, with off-diagonals that fall below round-off only after 5
+    # levels; the 3 that leave fewer than 64 of 500 rows and the sweep
+    # solve it
     assert sweep_depth(500) == 3
     rng = np.random.default_rng(23)
     tri = dominant_system(rng, 500, 5)
@@ -208,34 +208,35 @@ def test_fine_grid_newton_matrix():
     assert relative_residual(tri, solve(tri, b), b) <= 1e-14
 
 
-# Both take the sweep: at dt=0.001 the n=5000 matrix has rho = 0.92,
-# whose early stop after 9 levels lies past the sweep's 7; at dt=0.1
-# the n=20000 matrix has rho > 1.
+# At dt=0.001 the n=5000 matrix has rho = 0.92; at dt=0.1 the n=20000
+# matrix has rho > 1.
 @pytest.mark.parametrize("d, dt", [(0.001, 0.001), (0.00025, 0.1)])
 def test_coupled_fine_grid_newton_matrix(d, dt):
     tri = newton_matrix(dataclasses.replace(example3(), d=d), dt=dt)
     n = tri.diag.size
-    rho = ((np.abs(np.append(tri.upper, 0.0)) + np.abs(np.insert(tri.lower, 0, 0.0)))
-           / np.abs(tri.diag)).max()
-    assert rho >= 1.0 or _dominant_depth(rho) > sweep_depth(n)
     b = np.random.default_rng(n).normal(size=n)
     assert relative_residual(tri, solve(tri, b), b) <= 1e-14
 
 
-# Uncoupled rows at the end of the input itself, not identity rows, and
-# a coupled block that takes the sweep: rho = 1, or an early stop after
-# 5 levels past the sweep's 3. However many rows follow, the sweep takes
-# at most 64.
-@pytest.mark.parametrize("coupled", ["laplacian", "dominant"])
-def test_trailing_uncoupled_rows_keep_the_solution(coupled, monkeypatch):
-    swept = []
+@pytest.fixture
+def swept(monkeypatch):
+    """The row counts of the tridiag._sweep calls, in call order."""
+    sizes = []
     sweep = tridiag._sweep
 
     def recorded(a, b, c, d):
-        swept.append(b.size)
+        sizes.append(b.size)
         return sweep(a, b, c, d)
 
     monkeypatch.setattr(tridiag, "_sweep", recorded)
+    return sizes
+
+
+# Uncoupled rows at the end of the input itself, not identity rows, after
+# a coupled block with rho = 1 or rho < 1. However many rows follow, the
+# sweep takes at most 64.
+@pytest.mark.parametrize("coupled", ["laplacian", "dominant"])
+def test_trailing_uncoupled_rows_keep_the_solution(coupled, swept):
     n = 500
     rng = np.random.default_rng(24)
     if coupled == "laplacian":
@@ -255,6 +256,27 @@ def test_trailing_uncoupled_rows_keep_the_solution(coupled, monkeypatch):
         assert y[:n].tobytes() == x.tobytes(), k
         np.testing.assert_array_equal(y[n:], rhs / diag)
     assert 0 < max(swept) <= 64
+
+
+# One path: a solve with coupled rows runs its levels and sweeps once,
+# also where the off-diagonals fall below round-off before the sweep's
+# depth. That holds for the n=5000 matrix at dt=1e-4, as on the
+# fine_front workload, and for a system whose off-diagonals do so after
+# 3 levels; kappa=0 has no lower diagonal, so its coupled rows end at the
+# last nonzero of the upper one.
+@pytest.mark.parametrize("system", ["fine_front", "dominant", "pure_transport"])
+def test_coupled_solve_sweeps_once(system, swept):
+    if system == "fine_front":
+        tri = newton_matrix(dataclasses.replace(example3(), d=0.001), dt=1e-4)
+    elif system == "dominant":
+        tri = dominant_system(np.random.default_rng(25), 500, 3)
+    else:
+        tri = newton_matrix(example3(kappa=0.0), dt=0.5)
+    n = tri.diag.size
+    b = np.random.default_rng(n).normal(size=n)
+    x = solve(tri, b)
+    assert len(swept) == 1 and 0 < swept[0] < 2 ** SWEEP_BITS
+    assert relative_residual(tri, x, b) <= 1e-14
 
 
 @st.composite

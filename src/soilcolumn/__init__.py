@@ -10,6 +10,7 @@ the gravity term and adaptive TR-BDF2 time stepping.
 
 from .diagnostics import (
     FRONT_DEPTH,
+    MAX_ABOVE_ONE,
     MAX_BELOW_SBAR,
     MAXMIN_BELOW_GAP,
     EventReport,
@@ -60,7 +61,7 @@ __all__ = [
     "Accepted", "BoundarySpec", "Dirichlet", "EventReport", "Flux", "Grid",
     "InstabilityMetrics", "NewtonError", "Parameters",
     "PiecewiseLinearIC", "Robin", "Scenario", "SolverSettings", "State",
-    "Trace", "FRONT_DEPTH", "MAX_BELOW_SBAR", "MAXMIN_BELOW_GAP",
+    "Trace", "FRONT_DEPTH", "MAX_ABOVE_ONE", "MAX_BELOW_SBAR", "MAXMIN_BELOW_GAP",
     "accepted_states", "build_grid", "detect_event",
     "example1", "example2", "example3", "gravity_flux",
     "gravity_flux_derivative", "ic_from_breakpoints", "instability_metrics",

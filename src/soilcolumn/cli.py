@@ -39,8 +39,8 @@ from .model import Parameters
 from .timestepper import FAILED, SolverSettings, integrate
 
 # Events every run reports: the stickiness threshold crossing of the
-# column maximum, the settling of the max-min gap, and the final wetting
-# front depth.
+# column maximum, the settling of the max-min gap, the final wetting
+# front depth, and the column maximum leaving the physical range s <= 1.
 GAP_THRESHOLD = 0.1
 FRONT_THRESHOLD = 0.05
 
@@ -58,10 +58,12 @@ _TOP_KEYS = ("scenario", "params", "ic", "bc", "grid", "t_end",
              "output_times", "set", "solver")
 _END_CONDITIONS = {"dirichlet": Dirichlet, "flux": Flux, "robin": Robin}
 # The events every run reports, as (kind, threshold, the field of the event
-# that sweep_summary.csv shows); a threshold of None means the run's s_bar.
-_EVENTS = ((diagnostics.MAX_BELOW_SBAR, None, "time"),
-           (diagnostics.MAXMIN_BELOW_GAP, GAP_THRESHOLD, "time"),
-           (diagnostics.FRONT_DEPTH, FRONT_THRESHOLD, "value"))
+# that sweep_summary.csv shows, and its column there); a threshold of None
+# means the run's s_bar.
+_EVENTS = ((diagnostics.MAX_BELOW_SBAR, None, "time", "t_max_below_sbar"),
+           (diagnostics.MAXMIN_BELOW_GAP, GAP_THRESHOLD, "time", "t_gap_below"),
+           (diagnostics.FRONT_DEPTH, FRONT_THRESHOLD, "value", "front_depth"),
+           (diagnostics.MAX_ABOVE_ONE, 1.0, "time", "t_max_above_one"))
 
 
 class ConfigError(ValueError):
@@ -286,7 +288,7 @@ def _execute(resolved, out: Path) -> tuple[int, dict]:
                zip(trace.times, trace.s_min, trace.s_max))
 
     events = []
-    for kind, threshold, _ in _EVENTS:
+    for kind, threshold, _, _ in _EVENTS:
         threshold = p.s_bar if threshold is None else threshold
         report = diagnostics.detect_event(trace, kind, threshold, grid=grid)
         if report is not None:
@@ -377,10 +379,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             label, summary["solver"]["status"], code, final["mass"],
             final["drift"], final["undershoot"], final["overshoot"],
             final["zigzag"], *(events.get(kind, {}).get(field, "")
-                               for kind, _, field in _EVENTS))))
+                               for kind, _, field, _ in _EVENTS))))
     if args.command == "sweep":
-        header = ("value,status,exit,final_mass,final_drift,undershoot,overshoot,"
-                  "zigzag,t_max_below_sbar,t_gap_below,front_depth")
+        header = ",".join(("value,status,exit,final_mass,final_drift,undershoot,"
+                           "overshoot,zigzag", *(column for *_, column in _EVENTS)))
         Path(args.out, "sweep_summary.csv").write_text("\n".join([header, *lines, ""]))
         print(header, *lines, sep="\n")
     elif code == 2:

@@ -14,6 +14,7 @@ from .discretization import face_fluxes  # noqa: F401
 from .model import Parameters
 
 MAX_BELOW_SBAR = "max_below_sbar"
+MAX_ABOVE_ONE = "max_above_one"
 MAXMIN_BELOW_GAP = "maxmin_below_gap"
 FRONT_DEPTH = "front_depth"
 
@@ -68,21 +69,24 @@ def detect_event(trace, kind: str, threshold: float,
     """Locate an event in a trace; None when it does not occur.
 
     max_below_sbar: first time the column maximum falls below threshold.
+    max_above_one: first time the column maximum rises above threshold,
+    1 for the top of the physical range, which the model does not cap.
     maxmin_below_gap: first time after which max - min stays below
-    threshold for the rest of the trace. Both read the extrema recorded
-    for every accepted state and are interpolated linearly between the
-    bracketing trace entries. front_depth: the depth where the profile
-    at at_time (default: the final time) last exceeds threshold,
-    interpolated between cell centers; requires grid, and a time whose
-    profile the trace kept.
+    threshold for the rest of the trace. All three read the extrema
+    recorded for every accepted state and are interpolated linearly
+    between the bracketing trace entries. front_depth: the depth where
+    the profile at at_time (default: the final time) last exceeds
+    threshold, interpolated between cell centers; requires grid, and a
+    time whose profile the trace kept.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
-    if kind == MAX_BELOW_SBAR:
-        below = np.nonzero(trace.s_max < threshold)[0]
-        if below.size == 0:
+    if kind in (MAX_BELOW_SBAR, MAX_ABOVE_ONE):
+        crossed = np.nonzero(trace.s_max < threshold if kind == MAX_BELOW_SBAR
+                             else trace.s_max > threshold)[0]
+        if crossed.size == 0:
             return None
-        k = int(below[0])
+        k = int(crossed[0])
         return EventReport(
             kind, _cross_time(trace.times, trace.s_max, threshold, k), threshold)
     if kind == MAXMIN_BELOW_GAP:

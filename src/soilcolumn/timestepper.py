@@ -67,7 +67,11 @@ class SolverSettings:
     abs_tol: float = 1e-6
     dt_init: float = 1e-4
     dt_min: float = 1e-12
-    dt_max: float = 1.0
+    # The method is L-stable, so the cap serves the event times only:
+    # detect_event interpolates between steps. Against a cap of 1, every
+    # event of example1 and example2 moves by less than 0.05 at 10, and
+    # one by 0.15 at 30 (README, Numerics).
+    dt_max: float = 10.0
     newton_tol: float = 1e-10
     newton_max_iter: int = 25
     safety: float = 0.9

@@ -5,6 +5,7 @@ from typing import Callable
 
 import numpy as np
 
+from soilcolumn.discretization import Grid
 from soilcolumn.model import Parameters
 
 
@@ -58,3 +59,25 @@ def characteristics_oracle(ic: Callable[[float], float], z: float, t: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def sealed_steady_state(mean: float, grid: Grid, p: Parameters) -> np.ndarray:
+    """Exact cell averages on grid of the steady state of a sealed column
+    whose mean saturation is mean > s_bar.
+
+    Zero flux everywhere with s > s_bar means
+    kappa*s_z + alpha_g*(s - s_bar)^2 = 0, so s = s_bar + c/(z + L) with
+    c = kappa/alpha_g. The column mass fixes L > h:
+    c*ln(L/(L - h)) = (mean - s_bar)*h, whose root is
+    L = h/(1 - exp(-(mean - s_bar)*h/c)). A cell's average is
+    s_bar + c*ln((z_top + L)/(z_bottom + L))/dz.
+    """
+    if not mean > p.s_bar:
+        raise ValueError("oracle requires mean > s_bar")
+    if p.kappa <= 0.0 or p.alpha_g <= 0.0:
+        raise ValueError("oracle requires kappa > 0 and alpha_g > 0")
+    c = p.kappa / p.alpha_g
+    h = p.depth_h
+    length = h / -np.expm1(-(mean - p.s_bar) * h / c)
+    z_faces = -h + grid.dz * np.arange(grid.n_cells + 1)
+    return p.s_bar + c * np.diff(np.log(z_faces + length)) / grid.dz

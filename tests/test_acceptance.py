@@ -189,6 +189,26 @@ def test_uniformization_follows_diffusive_decay(ex1_run):
     assert event.time == pytest.approx(1758.0, abs=60.0)
 
 
+def test_default_run_reaches_dt_max(ex1_run):
+    # TR-BDF2 is L-stable, so in the capillary tail the error controller
+    # runs into the cap: no accepted step exceeds it, and some reach it.
+    _, _, trace, _, _ = ex1_run
+    assert trace.step_dt.max() == SolverSettings().dt_max
+
+
+def test_dt_max_of_one_still_reachable():
+    # A cap of 1 stays available through SolverSettings (the solver.dt_max
+    # config key): example1 then takes 3,194 accepted steps and 105
+    # rejections, against 997 and 106 at the default cap of 10.
+    scn = example1()
+    grid = scn.build_grid()
+    trace = integrate(scn.initial_state(grid), scn.t_end, scn.output_times,
+                      grid, scn.params, scn.bc, SolverSettings(dt_max=1.0))
+    assert trace.step_dt.max() == 1.0
+    assert len(trace) - 1 == 3194
+    assert trace.rejected_error + trace.rejected_newton == 105
+
+
 def test_redistribution_profiles_descend(ex1_run):
     """Snapshots show a descending front and a draining surface."""
     scn, grid, trace, _, _ = ex1_run

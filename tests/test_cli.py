@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from soilcolumn.cli import FRONT_THRESHOLD, GAP_THRESHOLD, main
 from soilcolumn.diagnostics import (
-    FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, detect_event,
+    FRONT_DEPTH, MAX_ABOVE_ONE, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, detect_event,
     instability_metrics, mass_balance_audit)
 from soilcolumn.discretization import BoundarySpec, Flux, Robin, State, build_grid
 from soilcolumn.model import Parameters
@@ -154,7 +154,8 @@ def check_sweep_summary(out, param):
                     final["undershoot"], final["overshoot"], final["zigzag"],
                     events.get(MAX_BELOW_SBAR, {}).get("time", ""),
                     events.get(MAXMIN_BELOW_GAP, {}).get("time", ""),
-                    events.get(FRONT_DEPTH, {}).get("value", "")]
+                    events.get(FRONT_DEPTH, {}).get("value", ""),
+                    events.get(MAX_ABOVE_ONE, {}).get("time", "")]
         assert row == ",".join(str(v) for v in expected)
     return codes
 
@@ -192,7 +193,8 @@ class TestArtifacts:
         events = []
         for kind, threshold in ((MAX_BELOW_SBAR, p.s_bar),
                                 (MAXMIN_BELOW_GAP, GAP_THRESHOLD),
-                                (FRONT_DEPTH, FRONT_THRESHOLD)):
+                                (FRONT_DEPTH, FRONT_THRESHOLD),
+                                (MAX_ABOVE_ONE, 1.0)):
             report = detect_event(trace, kind, threshold, grid=g)
             if report is not None:
                 events.append({"kind": kind, "time": report.time,
@@ -408,6 +410,25 @@ class TestSweep:
                      "--out", str(run_out)]) == 0
         for name in ("profiles.csv", "mass.csv", "extrema.csv", "events.json"):
             assert read(sweep_out / "kappa=0.01" / name) == read(run_out / name)
+
+    def test_wet_sealed_column_reports_leaving_the_range(self, tmp_path):
+        # The model has no cap at s = 1. Above s_bar a sealed column
+        # settles to s_bar + (kappa/alpha_g)/(z + L): at kappa=0.1 it
+        # stays below 0.42, at kappa=0.005 the water piles into the
+        # bottom cells and the column maximum passes 1.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"ic": [[-5.0, 0.3], [0.0, 0.3]],
+                                    "grid": {"d": 0.05}, "t_end": 100.0}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--param", "kappa",
+                     "--values", "0.005,0.1", "--out", str(out)]) == 0
+        header, wet, mild = read(out / "sweep_summary.csv").splitlines()
+        assert header.split(",")[-1] == "t_max_above_one"
+        assert 0.0 < float(wet.split(",")[-1]) < 100.0
+        assert mild.split(",")[-1] == ""
+        assert check_sweep_summary(out, "kappa") == {"0.005": 0, "0.1": 0}
+        events = json.loads(read(out / "kappa=0.005" / "events.json"))["events"]
+        assert [e["threshold"] for e in events if e["kind"] == MAX_ABOVE_ONE] == [1.0]
 
     def test_sweep_value_label_preserved(self, tmp_path):
         out = tmp_path / "sweep"

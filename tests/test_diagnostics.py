@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from soilcolumn.diagnostics import (
-    FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, detect_event,
+    FRONT_DEPTH, MAX_ABOVE_ONE, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, detect_event,
     instability_metrics, mass_balance_audit)
 from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
@@ -201,6 +201,16 @@ class TestDetectEvent:
     def test_absent_event_returns_none(self):
         trace = synthetic_trace([0.0, 1.0], [[0.9], [0.8]])
         assert detect_event(trace, MAX_BELOW_SBAR, 0.5) is None
+
+    def test_max_above_one_interpolates(self):
+        trace = synthetic_trace([0.0, 1.0, 2.0, 3.0], [[0.5], [0.9], [1.3], [0.8]])
+        report = detect_event(trace, MAX_ABOVE_ONE, 1.0)
+        assert report.time == pytest.approx(1.25)
+        assert report.value == 1.0
+
+    def test_max_at_one_is_not_above_it(self):
+        trace = synthetic_trace([0.0, 1.0], [[1.0], [1.0]])
+        assert detect_event(trace, MAX_ABOVE_ONE, 1.0) is None
 
     def test_subsampling_shifts_less_than_removed_interval(self):
         times = np.linspace(0.0, 20.0, 21)

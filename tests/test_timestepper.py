@@ -154,6 +154,16 @@ class TestIntegrate:
         # nothing rejects, so the controller expands to dt_max quickly
         assert len(trace) - 1 <= 20
 
+    @pytest.mark.parametrize("dt_max", [0.5, 2.0])
+    def test_steps_reach_but_never_exceed_dt_max(self, dt_max):
+        scn = example1()
+        g = build_grid(5.0, 0.1)
+        state = State(0.0, np.asarray(scn.ic(g.centers), float))
+        trace = integrate(state, 100.0, [100.0], g, scn.params, scn.bc,
+                          SolverSettings(dt_max=dt_max))
+        assert trace.status == COMPLETED
+        assert trace.step_dt.max() == dt_max
+
     def test_output_times_hit_exactly(self):
         g = build_grid(5.0, 0.05)
         scn = example1()

@@ -48,7 +48,7 @@ def max_relative_error(x, ref):
 # rho = 0 leaves no coupled rows, and the sweep takes only the first;
 # rho of about 1e-3 is reduced 3 levels and swept like any other system.
 @pytest.mark.parametrize("off", [0.0, 5e-4])
-def test_dominant_matrix_stops_early(off, as_dense):
+def test_dominant_matrix_matches_dense(off, as_dense):
     rng = np.random.default_rng(20)
     tri = Tridiagonal(lower=off * rng.uniform(-1, 1, 499),
                       diag=rng.uniform(1.0, 2.0, 500),
@@ -153,7 +153,7 @@ def sweep_depth(n):
     return max(0, n.bit_length() - SWEEP_BITS)
 
 
-def test_early_stop_past_sweep_depth(as_dense):
+def test_dominant_system_past_sweep_depth(as_dense):
     # rho < 1, with off-diagonals that fall below round-off only after 5
     # levels; the 3 that leave fewer than 64 of 500 rows and the sweep
     # solve it

@@ -19,8 +19,8 @@ run's Scenario, SolverSettings and config.json echo. A run is a sweep of
 one member: main resolves every member before the first solve and runs
 each through _execute; only a sweep writes sweep_summary.csv.
 
-Exit status: 0 success, 1 configuration error, 2 solver failure (the
-artifacts up to the failure time are still written).
+Exit status: 0 success, 1 configuration or usage error, 2 solver
+failure (the artifacts up to the failure time are still written).
 """
 
 from __future__ import annotations
@@ -72,6 +72,13 @@ class ConfigError(ValueError):
 
 def _fail(where: str, message: str) -> "ConfigError":
     return ConfigError(f"{where}: {message}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subparsers' too, as configuration errors (exit 1)."""
+
+    def error(self, message):
+        raise _fail(self.prog, message)
 
 
 def _check_keys(obj, allowed: tuple[str, ...], where: str) -> dict:
@@ -178,8 +185,6 @@ def _document(args) -> dict:
         overrides[key] = value
     if overrides:
         doc = _laid_over(doc, "set", overrides)
-    if args.rel_tol is not None:
-        doc = _laid_over(doc, "solver", {"rel_tol": args.rel_tol})
     if args.t_end is not None:
         doc["t_end"] = args.t_end
     if args.output_times is not None:
@@ -238,9 +243,8 @@ def _resolve(doc: dict) -> tuple[scenarios.Scenario, SolverSettings, dict]:
         # A preset's output times past a shortened t_end are dropped.
         times = [t for t in preset_times if t <= t_end]
     output_times = tuple(sorted(set(times))) or (t_end,)
-    scenario = _built(scenarios.Scenario, "config", name=name or "custom",
-                      params=params, d=d, ic=ic, bc=bc, t_end=t_end,
-                      output_times=output_times)
+    scenario = _built(scenarios.Scenario, "config", params=params, d=d, ic=ic,
+                      bc=bc, t_end=t_end, output_times=output_times)
     _built(scenario.build_grid, "grid")  # rejects a cell width outside (0, h]
 
     solver = _numbers(doc.get("solver", {}), _SOLVER_KEYS, "solver")
@@ -323,12 +327,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-end", type=float, dest="t_end")
     parser.add_argument("--output-times", dest="output_times",
                         help="comma-separated times to record profiles at")
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol")
     parser.add_argument("--out", default="out", help="output directory")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="soilcolumn",
         description="1-D unsaturated soil column simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -340,8 +343,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     sweep_parser.add_argument("--values", required=True,
                               help="comma-separated parameter values")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         doc = _document(args)
         if args.command == "run":
             members = [(None, Path(args.out), _resolve(doc))]

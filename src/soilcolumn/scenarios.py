@@ -24,14 +24,13 @@ SANDY_LOAM_THETA_R = 0.111
 SANDY_LOAM_POROSITY = 0.482
 
 
-def sandy_loam_sbar(theta_r: float = SANDY_LOAM_THETA_R,
-                    porosity: float = SANDY_LOAM_POROSITY) -> float:
+def sandy_loam_sbar() -> float:
     """Residual saturation as residual water content over porosity.
 
-    The sandy-loam default is 0.111/0.482, reported rounded as 0.2303;
+    The sandy-loam ratio is 0.111/0.482, reported rounded as 0.2303;
     the full-precision ratio is kept to avoid compounding rounding.
     """
-    return theta_r / porosity
+    return SANDY_LOAM_THETA_R / SANDY_LOAM_POROSITY
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ def ic_from_breakpoints(points: Sequence[tuple[float, float]]) -> PiecewiseLinea
 class Scenario:
     """A complete column experiment ready to hand to the integrator."""
 
-    name: str
     params: Parameters
     d: float
     ic: PiecewiseLinearIC
@@ -100,7 +98,6 @@ _EXAMPLE_PARAMS = dict(kappa=0.005, alpha_g=0.5, depth_h=5.0)
 def example1() -> Scenario:
     """Redistribution of a saturated 0.5-deep surface layer, sealed ends."""
     return Scenario(
-        name="example1",
         params=Parameters(s_bar=sandy_loam_sbar(), **_EXAMPLE_PARAMS),
         d=0.01,
         ic=ic_from_breakpoints([(-0.51, 0.0), (-0.50, 1.0)]),
@@ -113,7 +110,6 @@ def example1() -> Scenario:
 def example2() -> Scenario:
     """Wetting from a 0.49-thick bottom layer at s=0.3, sealed ends."""
     return Scenario(
-        name="example2",
         params=Parameters(s_bar=sandy_loam_sbar(), **_EXAMPLE_PARAMS),
         d=0.01,
         ic=ic_from_breakpoints([(-4.51, 0.3), (-4.50, 0.0)]),
@@ -133,7 +129,6 @@ def example3(kappa: float = 0.005, s_bar: Optional[float] = None) -> Scenario:
         s_bar = sandy_loam_sbar()
     params = Parameters(kappa=kappa, alpha_g=0.5, s_bar=s_bar, depth_h=5.0)
     return Scenario(
-        name="example3",
         params=params,
         d=0.01,
         ic=ic_from_breakpoints([(-2.01, 0.0), (-2.00, 1.0), (0.0, 0.0)]),

@@ -16,7 +16,7 @@ trapezoid stage from u0 + GAMMA*dt*f0 and the BDF2 stage from the
 quadratic through u0 with slope f_gamma at u_gamma.
 
 accepted_states() yields every accepted state with its scalars: mass,
-extrema, the two boundary fluxes and the step's applied inflow.
+extrema and the step's applied inflow.
 integrate() records them all in a Trace but keeps full profiles only at
 the initial time, the requested output times and the last state, so the
 memory of a run does not grow by a profile per step.
@@ -46,6 +46,8 @@ GROWTH_CAP = 10.0
 # On rejection the step shrinks at least this much even for wild error
 # estimates.
 SHRINK_CAP = 0.1
+# The next step is this fraction of the one the error estimate predicts.
+SAFETY = 0.9
 # TR-BDF2 with this GAMMA has the stage coefficient GAMMA/2 =
 # (1 - GAMMA)/(2 - GAMMA) in both stages, so they share a Newton matrix.
 GAMMA = 2.0 - math.sqrt(2.0)
@@ -74,7 +76,6 @@ class SolverSettings:
     dt_max: float = 10.0
     newton_tol: float = 1e-10
     newton_max_iter: int = 25
-    safety: float = 0.9
 
     def __post_init__(self):
         if not 0.0 < self.dt_min < self.dt_init <= self.dt_max:
@@ -88,8 +89,6 @@ class SolverSettings:
         iters = self.newton_max_iter
         if not isinstance(iters, (int, np.integer)) or iters < 1:
             raise ValueError(f"newton_max_iter must be an integer >= 1, got {iters}")
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError(f"safety must be in (0, 1], got {self.safety}")
 
 
 class NewtonError(RuntimeError):
@@ -107,14 +106,13 @@ class Accepted(NamedTuple):
     accepted step that produced the state (0 for the initial state).
     inflow is the net boundary inflow the step applied, dt times the
     stage-weighted sum W_TRAPEZOID*(net(u0) + net(u_gamma)) +
-    W_BDF2*net(u1) of net = flux_top - flux_bottom. mass is dz * sum(s),
-    and flux_bottom and flux_top are the fluxes through the column ends.
-    output is True at the initial time and at each requested output
-    time. rejected_error and rejected_newton count the attempts the run
-    rejected so far, by the error test and by a Newton failure. failure
-    is set on the last state of a run that stopped before t_end, to the
-    reason it stopped; that state's counts include the attempts after
-    it.
+    W_BDF2*net(u1) of net = flux_top - flux_bottom, the fluxes through
+    the column ends. mass is dz * sum(s). output is True at the initial
+    time and at each requested output time. rejected_error and
+    rejected_newton count the attempts the run rejected so far, by the
+    error test and by a Newton failure. failure is set on the last state
+    of a run that stopped before t_end, to the reason it stopped; that
+    state's counts include the attempts after it.
     """
 
     time: float
@@ -126,8 +124,6 @@ class Accepted(NamedTuple):
     mass: float
     s_min: float
     s_max: float
-    flux_bottom: float
-    flux_top: float
     output: bool
     rejected_error: int
     rejected_newton: int
@@ -140,15 +136,15 @@ class Trace:
     profiles of a few of them, in strictly increasing time.
 
     times holds every accepted time, times[0] being the initial one, and
-    mass, s_min, s_max, flux_bottom and flux_top the matching scalars of
-    each state (see Accepted). The step_* arrays describe the accepted
-    step that produced state k+1; rejected_error and rejected_newton
-    count the attempts the run rejected, by the error test and by a
-    Newton failure. profiles[j] is the saturation at
-    times[kept[j]]; integrate keeps the initial state, each requested
-    output time and the last state. Output times requested from
-    integrate() appear exactly (the controller trims steps to land on
-    them). Iterate accepted_states() for the profile of every state.
+    mass, s_min and s_max the matching scalars of each state (see
+    Accepted). The step_* arrays describe the accepted step that produced
+    state k+1; rejected_error and rejected_newton count the attempts the
+    run rejected, by the error test and by a Newton failure. profiles[j]
+    is the saturation at times[kept[j]]; integrate keeps the initial
+    state, each requested output time and the last state. Output times
+    requested from integrate() appear exactly (the controller trims steps
+    to land on them). Iterate accepted_states() for the profile of every
+    state.
     """
 
     times: np.ndarray
@@ -157,8 +153,6 @@ class Trace:
     mass: np.ndarray
     s_min: np.ndarray
     s_max: np.ndarray
-    flux_bottom: np.ndarray
-    flux_top: np.ndarray
     step_dt: np.ndarray
     step_newton_iters: np.ndarray
     step_error: np.ndarray
@@ -290,10 +284,11 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
 
     def accepted(t, s, dt=0.0, iters=0, err=0.0, net_trapezoid=0.0):
         flux_bottom, flux_top = boundary_fluxes(State(time=t, s=s), grid, p, bc)
-        inflow = dt * (W_TRAPEZOID * net_trapezoid + W_BDF2 * (flux_top - flux_bottom))
+        net = flux_top - flux_bottom
+        inflow = dt * (W_TRAPEZOID * net_trapezoid + W_BDF2 * net)
         return Accepted(t, s, dt, iters, err, inflow, grid.dz * float(np.sum(s)),
-                        float(s.min()), float(s.max()), flux_bottom, flux_top,
-                        t == t0 or t in outputs, rejected_error, rejected_newton)
+                        float(s.min()), float(s.max()), t == t0 or t in outputs,
+                        rejected_error, rejected_newton), net
 
     targets = sorted({float(t) for t in output_times if t > t0} | {float(t_end)})
     failure = None
@@ -301,7 +296,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     s = np.array(initial.s, dtype=float)
     # A state is yielded once the step after it is accepted, so that the
     # last one can carry the failure reason.
-    pending = accepted(t, s)
+    pending, net = accepted(t, s)
     # rhs at the current state, once a stage has evaluated it there.
     f0: Optional[np.ndarray] = None
     dt_next = settings.dt_init
@@ -339,22 +334,21 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
             err = _error_estimate(dt, f0, f_gamma, f1, s, settings)
             if err <= 1.0:
                 stage_bottom, stage_top = boundary_fluxes(stage, grid, p, bc)
-                net_trapezoid = (pending.flux_top - pending.flux_bottom
-                                 + (stage_top - stage_bottom))
+                net_trapezoid = net + (stage_top - stage_bottom)
                 t, s, f0 = t_new, u, f1
                 yield pending
-                pending = accepted(t, s, dt, iters, err, net_trapezoid)
+                pending, net = accepted(t, s, dt, iters, err, net_trapezoid)
                 if hit:
                     target_idx += 1
                 factor = GROWTH_CAP if err == 0.0 else min(
-                    settings.safety * err ** CONTROL_EXPONENT, GROWTH_CAP)
+                    SAFETY * err ** CONTROL_EXPONENT, GROWTH_CAP)
                 dt_next = min(max(dt * factor, settings.dt_min), settings.dt_max)
                 break
             rejected_error += 1
             # A NaN estimate must end in underflow, not loop: it shrinks
             # the step by SHRINK_CAP (max(nan, SHRINK_CAP) is nan), and
             # the guards read "not dt >= dt_min" (nan < dt_min is false).
-            shrink = settings.safety * err ** CONTROL_EXPONENT
+            shrink = SAFETY * err ** CONTROL_EXPONENT
             dt *= shrink if shrink > SHRINK_CAP else SHRINK_CAP
             if not dt >= settings.dt_min:
                 failure = (
@@ -368,7 +362,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
 def record(states: Iterable[Accepted]) -> Trace:
     """The Trace of a run's accepted states: every state's time, step
     and scalars, and the profiles of its output states and its last."""
-    # Ten doubles a state: 80 bytes, where a tuple of floats takes ~350.
+    # Eight doubles a state: 64 bytes, where a tuple of floats takes ~300.
     scalars = array("d")
     kept: list[int] = []
     profiles = []
@@ -377,13 +371,12 @@ def record(states: Iterable[Accepted]) -> Trace:
             kept.append(i)
             profiles.append(state.s)
         scalars.extend((state.time, state.dt, state.newton_iters, state.error,
-                        state.inflow, state.mass, state.s_min, state.s_max,
-                        state.flux_bottom, state.flux_top))
+                        state.inflow, state.mass, state.s_min, state.s_max))
     if kept[-1] != i:
         kept.append(i)
         profiles.append(state.s)
-    (times, step_dt, step_iters, step_err, step_inflow, mass, s_min, s_max,
-     flux_bottom, flux_top) = np.frombuffer(scalars).reshape(-1, 10).T
+    (times, step_dt, step_iters, step_err, step_inflow, mass, s_min,
+     s_max) = np.frombuffer(scalars).reshape(-1, 8).T
     return Trace(
         times=times,
         kept=np.array(kept),
@@ -391,8 +384,6 @@ def record(states: Iterable[Accepted]) -> Trace:
         mass=mass,
         s_min=s_min,
         s_max=s_max,
-        flux_bottom=flux_bottom,
-        flux_top=flux_top,
         step_dt=step_dt[1:],
         step_newton_iters=step_iters[1:].astype(int),
         step_error=step_err[1:],

@@ -65,15 +65,6 @@ class TestRun:
                      "config.json"):
             assert read(first / name) == read(again / name)
 
-    def test_rel_tol_flag_overrides_config(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"scenario": "example3", "t_end": 0.01,
-                                    "solver": {"rel_tol": 1e-6}}))
-        out = tmp_path / "run"
-        assert main(["run", "--config", str(path), "--rel-tol", "1e-4",
-                     "--out", str(out)]) == 0
-        assert json.loads(read(out / "config.json"))["solver"]["rel_tol"] == 1e-4
-
     def test_inline_config(self, tmp_path):
         cfg = {
             "params": {"kappa": 0.005, "alpha_g2": 1.0, "s_bar": 0.2303,
@@ -296,10 +287,12 @@ class TestConfigErrors:
         ["--output-times", "inf"],
         ["--set", "d=1e-15", "--t-end", "0.001"],
         ["--set", "d=1e-9"],
+        # Not a flag: usage errors, which exit 1 like configuration errors.
         ["--rel-tol", "0"],
         ["--rel-tol", "nan"],
         ["--rel-tol", "inf"],
         ["--set", "kappa"],
+        ["--t-end", "abc"],
     ])
     def test_rejected_before_solving(self, tmp_path, capsys, no_solver, args):
         code = main(["run", "--scenario", "example3", *args,
@@ -307,6 +300,13 @@ class TestConfigErrors:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_help_still_exits_0(self, capsys):
+        # Usage errors exit 1 as configuration errors; --help is not one.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--t-end" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text, args", [
         (None, ["run", "--config", "CONFIG"]),  # no such file
@@ -319,6 +319,7 @@ class TestConfigErrors:
                 "--values", "0.01,0.01"]),
         (None, ["sweep", "--scenario", "example3", "--param", "kappa",
                 "--values", "0.01,0.010"]),
+        (None, ["sweep", "--scenario", "example3", "--values", "0.01"]),
     ])
     def test_file_and_flag_errors_write_nothing(self, tmp_path, capsys,
                                                 no_solver, text, args):
@@ -375,6 +376,7 @@ class TestConfigErrors:
         {"solver": {"rel_tol": True}},
         {"solver": {"newton_max_iter": 2.7}},
         {"t_end": 0.002, "set": {"t_end": 0.001}},  # t_end is not a set key
+        {"solver": {"safety": 0.9}},  # an older config.json's key
     ])
     def test_scenario_config_rejected_before_solving(self, tmp_path, capsys,
                                                      no_solver, doc):

@@ -28,8 +28,7 @@ def synthetic_trace(times, profiles):
     steps = max(times.size - 1, 0)
     return Trace(times=times, kept=np.arange(times.size), profiles=profiles,
                  mass=profiles.sum(axis=1), s_min=profiles.min(axis=1),
-                 s_max=profiles.max(axis=1), flux_bottom=np.zeros(times.size),
-                 flux_top=np.zeros(times.size), step_dt=np.diff(times),
+                 s_max=profiles.max(axis=1), step_dt=np.diff(times),
                  step_newton_iters=np.ones(steps, dtype=int),
                  step_error=np.zeros(steps), step_inflow=np.zeros(steps),
                  rejected_error=0, rejected_newton=0)

@@ -36,8 +36,6 @@ class TestSolverSettings:
         dict(newton_max_iter=2.5),
         dict(newton_max_iter=float("nan")),
         dict(newton_max_iter=float("inf")),
-        dict(safety=0.0),
-        dict(safety=1.5),
         dict(rel_tol=float("inf")),
         dict(abs_tol=float("inf")),
         dict(newton_tol=float("inf")),
@@ -360,7 +358,7 @@ def tuple_record(states):
     reference for the buffer record() fills."""
     states = list(states)
     scalars = np.array([(a.time, a.dt, a.newton_iters, a.error, a.inflow, a.mass,
-                         a.s_min, a.s_max, a.flux_bottom, a.flux_top)
+                         a.s_min, a.s_max)
                         for a in states]).T
     kept = [i for i, a in enumerate(states) if a.output]
     if kept[-1] != len(states) - 1:
@@ -369,7 +367,6 @@ def tuple_record(states):
     return Trace(times=scalars[0], kept=np.array(kept),
                  profiles=np.array([states[i].s for i in kept]),
                  mass=scalars[5], s_min=scalars[6], s_max=scalars[7],
-                 flux_bottom=scalars[8], flux_top=scalars[9],
                  step_dt=scalars[1][1:],
                  step_newton_iters=scalars[2][1:].astype(int),
                  step_error=scalars[3][1:],

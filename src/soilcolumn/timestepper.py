@@ -12,8 +12,11 @@ three f values are Newton residual checks: f(u1), at the converged
 iterate, is f(u0) of the next step, and the first step's f(u0) comes
 from a stage of zero length at the initial state. Newton uses the
 analytic tridiagonal Jacobian and cyclic-reduction solves. It starts the
-trapezoid stage from u0 + GAMMA*dt*f0 and the BDF2 stage from the
-quadratic through u0 with slope f_gamma at u_gamma.
+trapezoid stage from the Taylor polynomial u0 + GAMMA*dt*f0 +
+(GAMMA*dt)**2/2 * u'', with u'' from the last accepted step's
+f1 - f_gamma (zero before the first step), and the BDF2 stage from the
+quadratic through u0 with slope f_gamma at u_gamma. From these second
+order starts most stages converge after one linear solve.
 
 accepted_states() yields every accepted state with its scalars: mass,
 extrema and the step's applied inflow.
@@ -59,6 +62,10 @@ W_BDF2 = (1.0 - GAMMA) / (2.0 - GAMMA)
 ERROR_CONSTANT = abs((-3.0 * GAMMA**2 + 4.0 * GAMMA - 2.0) / (6.0 * (2.0 - GAMMA)))
 # The local error is O(dt^3): the step size scales as err^(-1/3).
 CONTROL_EXPONENT = -1.0 / 3.0
+# The trapezoid stage starts at u0 + GAMMA*dt*f0 + (GAMMA*dt)**2/2 * u'',
+# with u'' = (f1 - f_gamma)/((1 - GAMMA)*dt_prev) from the last accepted
+# step, so the last term is TAYLOR*dt*(dt/dt_prev)*(f1 - f_gamma).
+TAYLOR = 0.5 * GAMMA**2 / (1.0 - GAMMA)
 
 
 @dataclass(frozen=True)
@@ -217,14 +224,19 @@ def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
 
 def _tr_bdf2(s: np.ndarray, f0: np.ndarray, t: float, dt: float, t_new: float,
              grid: Grid, p: Parameters, bc: BoundarySpec,
-             settings: SolverSettings) -> tuple:
+             settings: SolverSettings, bend: np.ndarray, dt_prev: float) -> tuple:
     """One TR-BDF2 step from s at t, f0 = rhs there, to t_new = t + dt:
     (u1, Newton iterations of both stages, the trapezoid stage's State,
-    rhs at it, rhs at u1). Raises NewtonError when a stage fails."""
+    rhs at it, rhs at u1). bend is f1 - f_gamma of the last accepted
+    step, of length dt_prev. Raises NewtonError when a stage fails."""
     half = 0.5 * GAMMA * dt
     t_gamma = t + GAMMA * dt
+    # The ratio is capped as the step growth is: after a step trimmed to
+    # an output time it can be large, and after a subnormal one inf.
+    start = s + GAMMA * dt * f0
+    start += TAYLOR * dt * min(dt / dt_prev, GROWTH_CAP) * bend
     u_gamma, iters_gamma, f_gamma = _newton_solve(
-        s + half * f0, t_gamma, half, grid, p, bc, settings, s + GAMMA * dt * f0)
+        s + half * f0, t_gamma, half, grid, p, bc, settings, start)
     s_bdf2 = (u_gamma - (1.0 - GAMMA) ** 2 * s) / (GAMMA * (2.0 - GAMMA))
     # The BDF2 stage starts at t + dt on the quadratic through s with slope
     # f_gamma at u_gamma: u_gamma + r*dt*f_gamma + r**2*(s - u_gamma), with
@@ -299,6 +311,9 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     pending, net = accepted(t, s)
     # rhs at the current state, once a stage has evaluated it there.
     f0: Optional[np.ndarray] = None
+    # f1 - f_gamma of the last accepted step and its length; zero before
+    # the first, whose trapezoid stage so starts from u0 + GAMMA*dt*f0.
+    bend, dt_prev = np.zeros_like(s), settings.dt_init
     dt_next = settings.dt_init
     target_idx = 0
     while target_idx < len(targets) and failure is None:
@@ -323,7 +338,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                     # so that every rhs call is a Newton residual check.
                     f0 = _newton_solve(s, t, 0.0, grid, p, bc, settings, s)[2]
                 u, iters, stage, f_gamma, f1 = _tr_bdf2(
-                    s, f0, t, dt, t_new, grid, p, bc, settings)
+                    s, f0, t, dt, t_new, grid, p, bc, settings, bend, dt_prev)
             except NewtonError as exc:
                 rejected_newton += 1
                 dt *= 0.5
@@ -336,6 +351,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                 stage_bottom, stage_top = boundary_fluxes(stage, grid, p, bc)
                 net_trapezoid = net + (stage_top - stage_bottom)
                 t, s, f0 = t_new, u, f1
+                bend, dt_prev = f1 - f_gamma, dt
                 yield pending
                 pending, net = accepted(t, s, dt, iters, err, net_trapezoid)
                 if hit:

@@ -276,23 +276,25 @@ class TestConfigErrors:
         assert "configuration error: --out" in capsys.readouterr().err
         assert path.read_text() == "kept"
 
+    # Each input carries its id (the index it had), so deleting an input
+    # renames no other case.
     @pytest.mark.parametrize("args", [
-        ["--t-end", "inf"],
-        ["--t-end", "nan"],
-        ["--set", "kappa=inf"],
-        ["--set", "gamma=1"],
-        ["--set", "d=inf"],
-        ["--t-end", "0.001", "--output-times", "nan,7"],
-        ["--t-end", "0.001", "--output-times=-0.0005,0.001"],
-        ["--output-times", "inf"],
-        ["--set", "d=1e-15", "--t-end", "0.001"],
-        ["--set", "d=1e-9"],
+        pytest.param(["--t-end", "inf"], id="args0"),
+        pytest.param(["--t-end", "nan"], id="args1"),
+        pytest.param(["--set", "kappa=inf"], id="args2"),
+        pytest.param(["--set", "gamma=1"], id="args3"),
+        pytest.param(["--set", "d=inf"], id="args4"),
+        pytest.param(["--t-end", "0.001", "--output-times", "nan,7"], id="args5"),
+        pytest.param(["--t-end", "0.001", "--output-times=-0.0005,0.001"], id="args6"),
+        pytest.param(["--output-times", "inf"], id="args7"),
+        pytest.param(["--set", "d=1e-15", "--t-end", "0.001"], id="args8"),
+        pytest.param(["--set", "d=1e-9"], id="args9"),
         # Not a flag: usage errors, which exit 1 like configuration errors.
-        ["--rel-tol", "0"],
-        ["--rel-tol", "nan"],
-        ["--rel-tol", "inf"],
-        ["--set", "kappa"],
-        ["--t-end", "abc"],
+        pytest.param(["--rel-tol", "0"], id="args10"),
+        pytest.param(["--rel-tol", "nan"], id="args11"),
+        pytest.param(["--rel-tol", "inf"], id="args12"),
+        pytest.param(["--set", "kappa"], id="args13"),
+        pytest.param(["--t-end", "abc"], id="args14"),
     ])
     def test_rejected_before_solving(self, tmp_path, capsys, no_solver, args):
         code = main(["run", "--scenario", "example3", *args,
@@ -333,29 +335,31 @@ class TestConfigErrors:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    # Each input carries its id (the index it had), so deleting an input
+    # renames no other case.
     @pytest.mark.parametrize("doc", [
-        {"params": {"kappa": -1.0}},
-        {"params": {"h": float("inf")}},
-        {"bc": {"top": {"type": "dirichlet", "value": float("nan")},
-                "bottom": {"type": "flux", "value": 0.0}}},
-        {"output_times": [0.2]},
-        {"output_times": [float("nan")]},
-        {"output_times": ["soon"]},
-        {"ic": [[-10.0, 0.1]]},
-        {"t_end": "abc"},
-        {"grid": {}},
-        {"set": {"kappa": "abc"}},
-        {"bc": {"top": {"type": ["flux"], "value": 0.0},
-                "bottom": {"type": "flux", "value": 0.0}}},
-        {"bc": {"top": {"type": "flux"},
-                "bottom": {"type": "flux", "value": 0.0}}},
-        {"params": {"gamma": 1.0}},
-        {"sweep": {"param": "kappa", "values": [0.01]}},
-        {"set": {"kappa": True}},
-        {"params": {"h": True}},
-        {"t_end": True},
-        {"solver": {"rel_tol": True}},
-        {"solver": {"newton_max_iter": 2.7}},
+        pytest.param({"params": {"kappa": -1.0}}, id="doc0"),
+        pytest.param({"params": {"h": float("inf")}}, id="doc1"),
+        pytest.param({"bc": {"top": {"type": "dirichlet", "value": float("nan")},
+                             "bottom": {"type": "flux", "value": 0.0}}}, id="doc2"),
+        pytest.param({"output_times": [0.2]}, id="doc3"),
+        pytest.param({"output_times": [float("nan")]}, id="doc4"),
+        pytest.param({"output_times": ["soon"]}, id="doc5"),
+        pytest.param({"ic": [[-10.0, 0.1]]}, id="doc6"),
+        pytest.param({"t_end": "abc"}, id="doc7"),
+        pytest.param({"grid": {}}, id="doc8"),
+        pytest.param({"set": {"kappa": "abc"}}, id="doc9"),
+        pytest.param({"bc": {"top": {"type": ["flux"], "value": 0.0},
+                             "bottom": {"type": "flux", "value": 0.0}}}, id="doc10"),
+        pytest.param({"bc": {"top": {"type": "flux"},
+                             "bottom": {"type": "flux", "value": 0.0}}}, id="doc11"),
+        pytest.param({"params": {"gamma": 1.0}}, id="doc12"),
+        pytest.param({"sweep": {"param": "kappa", "values": [0.01]}}, id="doc13"),
+        pytest.param({"set": {"kappa": True}}, id="doc14"),
+        pytest.param({"params": {"h": True}}, id="doc15"),
+        pytest.param({"t_end": True}, id="doc16"),
+        pytest.param({"solver": {"rel_tol": True}}, id="doc17"),
+        pytest.param({"solver": {"newton_max_iter": 2.7}}, id="doc18"),
     ])
     def test_inline_config_rejected_before_solving(self, tmp_path, capsys,
                                                    no_solver, doc):
@@ -366,17 +370,21 @@ class TestConfigErrors:
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
 
+    # Each input carries its id (the index it had), so deleting an input
+    # renames no other case.
     @pytest.mark.parametrize("doc", [
-        {"set": {"d": "x"}},
-        {"set": {"gamma": 1.0}},
-        {"t_end": None},
-        {"scenario": ["example3"]},
-        {"set": {"kappa": True}},
-        {"output_times": [True]},
-        {"solver": {"rel_tol": True}},
-        {"solver": {"newton_max_iter": 2.7}},
-        {"t_end": 0.002, "set": {"t_end": 0.001}},  # t_end is not a set key
-        {"solver": {"safety": 0.9}},  # an older config.json's key
+        pytest.param({"set": {"d": "x"}}, id="doc0"),
+        pytest.param({"set": {"gamma": 1.0}}, id="doc1"),
+        pytest.param({"t_end": None}, id="doc2"),
+        pytest.param({"scenario": ["example3"]}, id="doc3"),
+        pytest.param({"set": {"kappa": True}}, id="doc4"),
+        pytest.param({"output_times": [True]}, id="doc5"),
+        pytest.param({"solver": {"rel_tol": True}}, id="doc6"),
+        pytest.param({"solver": {"newton_max_iter": 2.7}}, id="doc7"),
+        # t_end is not a set key
+        pytest.param({"t_end": 0.002, "set": {"t_end": 0.001}}, id="doc8"),
+        # an older config.json's key
+        pytest.param({"solver": {"safety": 0.9}}, id="doc9"),
     ])
     def test_scenario_config_rejected_before_solving(self, tmp_path, capsys,
                                                      no_solver, doc):

@@ -13,8 +13,8 @@ from soilcolumn.discretization import (
 from soilcolumn.model import Parameters
 from soilcolumn.scenarios import example1, example2, example3, ic_from_breakpoints
 from soilcolumn.timestepper import (
-    FAILED, GAMMA, W_BDF2, W_TRAPEZOID, SolverSettings, Trace, _newton_solve,
-    integrate)
+    FAILED, GAMMA, GROWTH_CAP, W_BDF2, W_TRAPEZOID, SolverSettings, Trace,
+    _newton_solve, integrate)
 
 from oracles import OracleInvalidError, characteristics_oracle
 
@@ -65,20 +65,31 @@ class TestMassBalanceAudit:
 def profile_audit(times, step_dt, profiles, grid, p, bc):
     """mass_balance_audit computed from every profile: face_fluxes on
     each state and on each step's trapezoid stage, solved again from the
-    state the step starts at, summed by the TR-BDF2 stage quadrature."""
+    integrator's Taylor start, whose f1 - f_gamma is rhs at the step's
+    start minus rhs at the stage re-solved for the step before; summed by
+    the TR-BDF2 stage quadrature."""
     def net(t, s):
         flux = face_fluxes(State(float(t), s), grid, p, bc)
         return flux[-1] - flux[0]
 
     mass = grid.dz * profiles.sum(axis=1)
     nets = np.array([net(t, s) for t, s in zip(times, profiles)])
+    f = [rhs(State(float(t), s), grid, p, bc) for t, s in zip(times, profiles)]
     stage_nets = []
-    for t, dt, s in zip(times[:-1], step_dt, profiles[:-1]):
-        f0 = rhs(State(float(t), s), grid, p, bc)
+    # (GAMMA*dt)**2/2 * u'' with u'' = bend/((1 - GAMMA)*dt_prev); no step
+    # before the first: a zero bend and a ratio dt/inf of zero
+    taylor = 0.5 * GAMMA**2 / (1.0 - GAMMA)
+    bend, dt_prev = 0.0, math.inf
+    for k, dt in enumerate(step_dt.tolist()):
+        t, s = times[k], profiles[k]
         half = 0.5 * GAMMA * dt
-        u_gamma = _newton_solve(s + half * f0, t + GAMMA * dt, half, grid, p, bc,
-                                SolverSettings(), s + GAMMA * dt * f0)[0]
+        start = s + GAMMA * dt * f[k]
+        start += taylor * dt * min(dt / dt_prev, GROWTH_CAP) * bend
+        u_gamma, _, f_gamma = _newton_solve(
+            s + half * f[k], t + GAMMA * dt, half, grid, p, bc, SolverSettings(),
+            start)
         stage_nets.append(net(t + GAMMA * dt, u_gamma))
+        bend, dt_prev = f[k + 1] - f_gamma, dt
     inflow = step_dt * (W_TRAPEZOID * (nets[:-1] + np.array(stage_nets))
                         + W_BDF2 * nets[1:])
     return mass - mass[0] - np.concatenate(([0.0], np.cumsum(inflow)))

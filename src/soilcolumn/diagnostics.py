@@ -8,8 +8,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .discretization import BoundarySpec, Grid, State
-# Nothing here calls face_fluxes; the name stays for callers that wrap
-# it, such as benchmarks/tracing.py, which counts its calls.
+# Nothing here calls face_fluxes. The name stays because
+# benchmarks/tracing.py wraps it and fails without it; the count it
+# traces reads 0, since rhs calls discretization.face_fluxes directly.
 from .discretization import face_fluxes  # noqa: F401
 from .model import Parameters
 

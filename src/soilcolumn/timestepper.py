@@ -24,9 +24,9 @@ integrate() records them all in a Trace but keeps full profiles only at
 the initial time, the requested output times and the last state, so the
 memory of a run does not grow by a profile per step.
 
-Failures are data, not exceptions: when the controller cannot shrink the
-step below dt_min the returned Trace carries status "failed" together
-with the last accepted state and time.
+Failures are data, not exceptions: when the rhs at the initial state is
+not finite, or the controller cannot shrink the step below dt_min, the
+returned Trace carries status "failed" and the last accepted state.
 """
 
 from __future__ import annotations
@@ -309,8 +309,14 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     # A state is yielded once the step after it is accepted, so that the
     # last one can carry the failure reason.
     pending, net = accepted(t, s)
-    # rhs at the current state, once a stage has evaluated it there.
-    f0: Optional[np.ndarray] = None
+    # rhs at the initial state from a stage of zero length, so every rhs
+    # call is a Newton residual check. It fails only on a non-finite rhs,
+    # which no step size mends; a run with no step to take makes none.
+    if t < t_end:
+        try:
+            f0 = _newton_solve(s, t, 0.0, grid, p, bc, settings, s)[2]
+        except NewtonError as exc:
+            failure = f"non-finite rhs at the initial state: {exc}"
     # f1 - f_gamma of the last accepted step and its length; zero before
     # the first, whose trapezoid stage so starts from u0 + GAMMA*dt*f0.
     bend, dt_prev = np.zeros_like(s), settings.dt_init
@@ -333,43 +339,34 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
             # On the target exactly, so its recorded fluxes are the applied ones.
             t_new = target if hit else t + dt
             try:
-                if f0 is None:
-                    # rhs at the initial state, from a stage of zero length,
-                    # so that every rhs call is a Newton residual check.
-                    f0 = _newton_solve(s, t, 0.0, grid, p, bc, settings, s)[2]
                 u, iters, stage, f_gamma, f1 = _tr_bdf2(
                     s, f0, t, dt, t_new, grid, p, bc, settings, bend, dt_prev)
             except NewtonError as exc:
                 rejected_newton += 1
-                dt *= 0.5
-                if not dt >= settings.dt_min:
-                    failure = f"step size underflow after Newton failure: {exc}"
+                factor, cause = 0.5, f"after Newton failure: {exc}"
+            else:
+                err = _error_estimate(dt, f0, f_gamma, f1, s, settings)
+                # A NaN estimate must end in underflow, not loop: it shrinks
+                # the step by SHRINK_CAP (nan > SHRINK_CAP is false), and the
+                # guard reads "not dt >= dt_min" (nan < dt_min is false).
+                factor = GROWTH_CAP if err == 0.0 else SAFETY * err ** CONTROL_EXPONENT
+                factor = min(factor if factor > SHRINK_CAP else SHRINK_CAP, GROWTH_CAP)
+                if err <= 1.0:
+                    stage_bottom, stage_top = boundary_fluxes(stage, grid, p, bc)
+                    net_trapezoid = net + (stage_top - stage_bottom)
+                    t, s, f0 = t_new, u, f1
+                    bend, dt_prev = f1 - f_gamma, dt
+                    yield pending
+                    pending, net = accepted(t, s, dt, iters, err, net_trapezoid)
+                    if hit:
+                        target_idx += 1
+                    dt_next = min(max(dt * factor, settings.dt_min), settings.dt_max)
                     break
-                continue
-            err = _error_estimate(dt, f0, f_gamma, f1, s, settings)
-            if err <= 1.0:
-                stage_bottom, stage_top = boundary_fluxes(stage, grid, p, bc)
-                net_trapezoid = net + (stage_top - stage_bottom)
-                t, s, f0 = t_new, u, f1
-                bend, dt_prev = f1 - f_gamma, dt
-                yield pending
-                pending, net = accepted(t, s, dt, iters, err, net_trapezoid)
-                if hit:
-                    target_idx += 1
-                factor = GROWTH_CAP if err == 0.0 else min(
-                    SAFETY * err ** CONTROL_EXPONENT, GROWTH_CAP)
-                dt_next = min(max(dt * factor, settings.dt_min), settings.dt_max)
-                break
-            rejected_error += 1
-            # A NaN estimate must end in underflow, not loop: it shrinks
-            # the step by SHRINK_CAP (max(nan, SHRINK_CAP) is nan), and
-            # the guards read "not dt >= dt_min" (nan < dt_min is false).
-            shrink = SAFETY * err ** CONTROL_EXPONENT
-            dt *= shrink if shrink > SHRINK_CAP else SHRINK_CAP
+                rejected_error += 1
+                cause = f"below dt_min={settings.dt_min} (error estimate {err:.3g})"
+            dt *= factor
             if not dt >= settings.dt_min:
-                failure = (
-                    f"step size underflow below dt_min={settings.dt_min} "
-                    f"(error estimate {err:.3g})")
+                failure = f"step size underflow {cause}"
                 break
     yield pending._replace(failure=failure, rejected_error=rejected_error,
                            rejected_newton=rejected_newton)

@@ -122,6 +122,21 @@ class TestRun:
         assert len(read(out / "mass.csv").splitlines()) >= 2
         assert "solver failure" in capsys.readouterr().err
 
+    # The overflow is the input under test, so its warnings are expected.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_initial_rhs_fails_without_retries(self, tmp_path, capsys):
+        # kappa=1e308 overflows the diffusive flux at the initial state; no
+        # step size mends that, so the run fails there with no attempt
+        # rejected
+        out = tmp_path / "fail"
+        code = main(["run", "--scenario", "example1", "--set", "kappa=1e308",
+                     "--t-end", "1", "--out", str(out)])
+        assert code == 2
+        solver = json.loads(read(out / "events.json"))["solver"]
+        assert (solver["failure_time"], solver["rejected_newton"]) == (0.0, 0)
+        assert "initial state" in solver["reason"]
+        assert "solver failure" in capsys.readouterr().err
+
 
 def csv_lines(header, rows):
     """A CSV artifact split at its newlines: each value as repr(float),

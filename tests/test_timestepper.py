@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from soilcolumn import timestepper
-from soilcolumn.discretization import State, build_grid, no_flux, rhs
+from soilcolumn.discretization import (
+    BoundarySpec, Dirichlet, Flux, State, build_grid, no_flux, rhs)
 from soilcolumn.model import Parameters
 from soilcolumn.scenarios import example1, example3
 from soilcolumn.timestepper import (
@@ -176,7 +179,8 @@ class TestIntegrate:
 
     def test_subnormal_first_step_then_full_steps(self):
         # a first output time of 5e-324 forces a subnormal first step;
-        # the predictor of the next step must not divide by it
+        # the next step's trapezoid start divides by it, dt/dt_prev
+        # overflows to inf, and GROWTH_CAP must cap that ratio
         g = build_grid(1.0, 0.1)
         state = State(0.0, np.linspace(0.0, 0.9, g.n_cells))
         trace = integrate(state, 0.05, [5e-324, 0.05], g, SANDY, no_flux())
@@ -440,3 +444,27 @@ def test_nan_error_estimate_fails_the_run(monkeypatch):
     assert trace.failure_reason.startswith("step size underflow")
     assert trace.rejected_error == calls["estimate"]
     assert len(trace) == 1
+
+
+def test_non_finite_rhs_at_the_initial_state_fails_at_once(monkeypatch):
+    # the zero-length stage that gives the first step's rhs fails only
+    # on a non-finite rhs, which no step size mends: the run fails at t0
+    # after that one stage, with no rejected attempt
+    calls = {"stage": 0}
+    solve = timestepper._newton_solve
+
+    def counted_solve(*args):
+        calls["stage"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(timestepper, "_newton_solve", counted_solve)
+    g = build_grid(1.0, 0.05)
+    bc = BoundarySpec(top=Dirichlet(lambda t: math.nan if t == 0.0 else 0.3),
+                      bottom=Flux(0.0))
+    initial = State(0.0, np.linspace(0.0, 0.3, g.n_cells))
+    trace = integrate(initial, 0.1, [0.005, 0.1], g, SANDY, bc)
+    assert trace.status == FAILED
+    assert trace.failure_time == 0.0
+    assert calls["stage"] == 1
+    assert trace.rejected_newton == trace.rejected_error == 0
+    assert "initial state" in trace.failure_reason

@@ -247,11 +247,8 @@ def _resolve(doc: dict) -> tuple[scenarios.Scenario, SolverSettings, dict]:
                       bc=bc, t_end=t_end, output_times=output_times)
     _built(scenario.build_grid, "grid")  # rejects a cell width outside (0, h]
 
-    solver = _numbers(doc.get("solver", {}), _SOLVER_KEYS, "solver")
-    iters = solver.get("newton_max_iter", SolverSettings.newton_max_iter)
-    if not float(iters).is_integer():
-        raise _fail("solver.newton_max_iter", f"not an integer: {iters}")
-    settings = _built(SolverSettings, "solver", **{**solver, "newton_max_iter": int(iters)})
+    settings = _built(SolverSettings, "solver",
+                      **_numbers(doc.get("solver", {}), _SOLVER_KEYS, "solver"))
 
     echo = {"scenario": name} if name is not None else _sections(scenario)
     echo.update(t_end=t_end, output_times=list(output_times))

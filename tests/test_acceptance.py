@@ -354,7 +354,7 @@ def test_criterion_7_hyperbolic_limit_oracle(acceptance_report):
         return 0.1 / (1.0 - 2.0 * p.alpha_g * slope * t)
 
     bc = BoundarySpec(top=Dirichlet(top_inflow), bottom=Dirichlet(0.0))
-    settings = SolverSettings(rel_tol=1e-9, abs_tol=1e-11, newton_tol=1e-13)
+    settings = SolverSettings(rel_tol=1e-9, abs_tol=1e-11)
     errors = {}
     for d in (0.01, 0.005):
         grid = build_grid(5.0, d)

@@ -218,13 +218,15 @@ class TestArtifacts:
         assert read(out / "events.json") == json.dumps(summary, indent=2) + "\n"
 
     def test_sweep_rows_match_members(self, tmp_path):
-        # A column at rest below s_bar=0.5 never needs a Newton solve; at
-        # s_bar=0.1 it moves, and one Newton iteration per stage cannot
-        # follow it at any step above dt_min, so that member fails.
+        # A column at rest below s_bar=0.5 has rhs 0, so every step's error
+        # estimate is 0 and passes any tolerance; at s_bar=0.1 it moves,
+        # and no step above dt_min meets a rel_tol of 1e-13, so that
+        # member fails.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "ic": [[-1.0, 0.3], [0.0, 0.3]], "t_end": 0.1,
-            "solver": {"newton_max_iter": 1, "dt_init": 1e-2, "dt_min": 1e-3}}))
+            "solver": {"rel_tol": 1e-13, "abs_tol": 1e-15, "dt_init": 1e-4,
+                       "dt_min": 5e-5}}))
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(path), "--param", "s_bar",
                      "--values", "0.5,0.1", "--out", str(out)]) == 0
@@ -398,8 +400,10 @@ class TestConfigErrors:
         pytest.param({"solver": {"newton_max_iter": 2.7}}, id="doc7"),
         # t_end is not a set key
         pytest.param({"t_end": 0.002, "set": {"t_end": 0.001}}, id="doc8"),
-        # an older config.json's key
+        # an older config.json's keys
         pytest.param({"solver": {"safety": 0.9}}, id="doc9"),
+        pytest.param({"solver": {"newton_tol": 1e-5}}, id="doc10"),
+        pytest.param({"solver": {"newton_max_iter": 1}}, id="doc11"),
     ])
     def test_scenario_config_rejected_before_solving(self, tmp_path, capsys,
                                                      no_solver, doc):

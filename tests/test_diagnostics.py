@@ -86,8 +86,7 @@ def profile_audit(times, step_dt, profiles, grid, p, bc):
         start = s + GAMMA * dt * f[k]
         start += taylor * dt * min(dt / dt_prev, GROWTH_CAP) * bend
         u_gamma, _, f_gamma = _newton_solve(
-            s + half * f[k], t + GAMMA * dt, half, grid, p, bc, SolverSettings(),
-            start)
+            s + half * f[k], t + GAMMA * dt, half, grid, p, bc, start)
         stage_nets.append(net(t + GAMMA * dt, u_gamma))
         bend, dt_prev = f[k + 1] - f_gamma, dt
     inflow = step_dt * (W_TRAPEZOID * (nets[:-1] + np.array(stage_nets))

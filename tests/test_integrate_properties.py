@@ -21,7 +21,7 @@ from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid)
 from soilcolumn.model import Parameters
 from soilcolumn.scenarios import ic_from_breakpoints
-from soilcolumn.timestepper import COMPLETED, SolverSettings, integrate
+from soilcolumn.timestepper import COMPLETED, NEWTON_TOL, integrate
 
 # Enough draws to cover every pair of end conditions several times,
 # few enough that the whole module runs in a few seconds.
@@ -121,8 +121,7 @@ def test_integrate_contract(column):
     # mass changes only through the ends, up to the Newton residual
     steps = len(trace) - 1
     drift = mass_balance_audit(trace, grid, p, bc)
-    assert np.max(np.abs(drift)) <= steps * grid.n_cells * \
-        SolverSettings().newton_tol
+    assert np.max(np.abs(drift)) <= steps * grid.n_cells * NEWTON_TOL
 
     # nonnegative data and no draining end keep the column nonnegative
     if initial.s.min() >= 0.0 and not _drains(bc):

@@ -15,10 +15,10 @@ from soilcolumn.timestepper import (
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 
 
-def backward_euler(s_old, dt, g, p, settings=SolverSettings()):
+def backward_euler(s_old, dt, g, p):
     """One backward-Euler stage from s_old at t=0 over dt, started at
     s_old: (u, iterations used)."""
-    u, iters, _ = _newton_solve(s_old, dt, dt, g, p, no_flux(), settings, s_old)
+    u, iters, _ = _newton_solve(s_old, dt, dt, g, p, no_flux(), s_old)
     return u, iters
 
 
@@ -27,7 +27,6 @@ class TestSolverSettings:
         s = SolverSettings()
         assert s.rel_tol == 1e-5
         assert s.abs_tol == 1e-6
-        assert s.newton_max_iter == 25
 
     # Each input carries its id (the index it had), so deleting an input
     # renames no other case.
@@ -37,14 +36,8 @@ class TestSolverSettings:
         pytest.param(dict(dt_init=2.0, dt_max=1.0), id="kwargs2"),
         pytest.param(dict(rel_tol=0.0), id="kwargs3"),
         pytest.param(dict(abs_tol=-1.0), id="kwargs4"),
-        pytest.param(dict(newton_max_iter=0), id="kwargs5"),
-        pytest.param(dict(newton_max_iter=2.5), id="kwargs6"),
-        pytest.param(dict(newton_max_iter=float("nan")), id="kwargs7"),
-        pytest.param(dict(newton_max_iter=float("inf")), id="kwargs8"),
         pytest.param(dict(rel_tol=float("inf")), id="kwargs9"),
         pytest.param(dict(abs_tol=float("inf")), id="kwargs10"),
-        pytest.param(dict(newton_tol=float("inf")), id="kwargs11"),
-        pytest.param(dict(newton_tol=0.0), id="kwargs12"),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -84,7 +77,7 @@ class TestNewtonStep:
         scn = example1()
         g = scn.build_grid()
         s_old = scn.initial_state(g).s
-        args = (s_old, 0.01, 0.01, g, scn.params, scn.bc, SolverSettings())
+        args = (s_old, 0.01, 0.01, g, scn.params, scn.bc)
         u, iters, f = _newton_solve(*args, s_old)
         assert iters > 1
         # the last residual check is at u
@@ -105,8 +98,7 @@ class TestNewtonStep:
             start = s_old + dt * rhs(State(dt, s_old), g, scn.params, scn.bc)
         inputs = [s_old, start]
         before = [x.copy() for x in inputs]
-        u, iters, _ = _newton_solve(s_old, dt, dt, g, scn.params, scn.bc,
-                                    SolverSettings(), start)
+        u, iters, _ = _newton_solve(s_old, dt, dt, g, scn.params, scn.bc, start)
         assert iters > 1
         for x, y in zip(inputs, before):
             assert x.tobytes() == y.tobytes()
@@ -130,8 +122,7 @@ class TestNewtonStep:
         rng = np.random.default_rng(7)
         s_old = rng.uniform(0.1, 0.9, g.n_cells)
         dt = 1e3 * g.dz ** 2 / p.kappa
-        settings = SolverSettings(dt_init=dt, dt_max=10.0 * dt)
-        new, _ = backward_euler(s_old, dt, g, p, settings)
+        new, _ = backward_euler(s_old, dt, g, p)
         assert new.min() >= s_old.min() - 1e-12
         assert new.max() <= s_old.max() + 1e-12
         assert np.all(np.isfinite(new))
@@ -264,12 +255,11 @@ class TestIntegrate:
         # change per accepted step is the Newton residual alone
         scn = example1()
         g = scn.build_grid()
-        settings = SolverSettings()
         _, profiles = integrate_every_profile(scn.initial_state(g), 2.0, [2.0], g,
-                                              scn.params, scn.bc, settings)
+                                              scn.params, scn.bc)
         mass = g.dz * profiles.sum(axis=1)
         slip = np.max(np.abs(np.diff(mass)))
-        assert slip <= g.n_cells * settings.newton_tol
+        assert slip <= g.n_cells * timestepper.NEWTON_TOL
 
     def test_predictor_keeps_stages_near_one_solve(self, ex1_to_t5):
         # each step is two stages; from their starts (the Taylor start
@@ -308,18 +298,21 @@ class TestIntegrate:
 
     # Every error estimate above 1 and every NewtonError halving is one
     # rejected attempt. With the default settings the draining front
-    # fails the error test. With two Newton iterations a stage and a
-    # first step of 1e-2, the first trapezoid stage, which has no step
-    # before it to take a Taylor start from, fails Newton (5 halvings,
-    # then 17 error rejections); from dt_init=1e-4 no stage fails.
-    # A tolerance the step floor cannot meet fails the run at t=0, and
-    # the trace still counts the attempts it rejected there.
-    @pytest.mark.parametrize("settings, cause, status", [
-        (SolverSettings(), "error", COMPLETED),
-        (SolverSettings(newton_max_iter=2, dt_init=1e-2), "newton", COMPLETED),
-        (SolverSettings(rel_tol=1e-13, abs_tol=1e-15, dt_min=5e-5), "error", FAILED),
+    # fails the error test. With NEWTON_MAX_ITER patched to two residual
+    # checks a stage and a first step of 1e-2, the first trapezoid stage,
+    # which has no step before it to take a Taylor start from, fails
+    # Newton (5 halvings, then 17 error rejections); from dt_init=1e-4 no
+    # stage fails. A tolerance the step floor cannot meet fails the run
+    # at t=0, and the trace still counts the attempts it rejected there.
+    @pytest.mark.parametrize("settings, max_iter, cause, status", [
+        (SolverSettings(), timestepper.NEWTON_MAX_ITER, "error", COMPLETED),
+        (SolverSettings(dt_init=1e-2), 2, "newton", COMPLETED),
+        (SolverSettings(rel_tol=1e-13, abs_tol=1e-15, dt_min=5e-5),
+         timestepper.NEWTON_MAX_ITER, "error", FAILED),
     ], ids=["error-test", "newton", "failed-run"])
-    def test_rejections_counted_by_cause(self, monkeypatch, settings, cause, status):
+    def test_rejections_counted_by_cause(self, monkeypatch, settings, max_iter,
+                                         cause, status):
+        monkeypatch.setattr(timestepper, "NEWTON_MAX_ITER", max_iter)
         counts = {"error": 0, "newton": 0}
         estimate, solve = timestepper._error_estimate, timestepper._newton_solve
 
@@ -345,6 +338,31 @@ class TestIntegrate:
         assert counts[cause] > 0
         assert (trace.rejected_error, trace.rejected_newton) == (
             counts["error"], counts["newton"])
+
+    # Newton's tolerance can be a constant because at it no stage with
+    # dt > 0 on a moving preset converges at its first residual check:
+    # each returns an implicit solve, never its explicit start.
+    @pytest.mark.parametrize("scn, t_end", [
+        (example1(), 5.0), (example3(kappa=0.005), 0.5), (example3(kappa=0.0), 0.5),
+    ], ids=["example1", "example3-kappa0.005", "example3-kappa0"])
+    def test_no_stage_returns_its_start_unsolved(self, monkeypatch, scn, t_end):
+        counts = {"stages": 0, "unsolved": 0}
+        solve = timestepper._newton_solve
+
+        def counted_solve(s_old, t_new, dt, *args):
+            u, iters, f = solve(s_old, t_new, dt, *args)
+            if dt > 0.0:
+                counts["stages"] += 1
+                counts["unsolved"] += iters == 1
+            return u, iters, f
+
+        monkeypatch.setattr(timestepper, "_newton_solve", counted_solve)
+        g = scn.build_grid()
+        trace = integrate(scn.initial_state(g), t_end, [t_end], g, scn.params,
+                          scn.bc)
+        assert trace.status == COMPLETED
+        assert counts["stages"] >= 2 * (len(trace) - 1)
+        assert counts["unsolved"] == 0
 
     def test_tolerance_monotonicity_on_redistribution(self):
         # tightening rel_tol by decades may only move the solution

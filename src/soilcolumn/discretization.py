@@ -99,10 +99,16 @@ class Dirichlet(_Prescribed):
     The boundary face sees a reflected ghost cell, 2*value - s_cell, so
     that the face average of ghost and cell is the prescribed value; the
     face flux is then the interior flux law against the ghost. Ghost
-    values are numerical auxiliaries and may fall outside [0, 1].
+    values are numerical auxiliaries and may fall outside [0, 1]; a
+    constant value is a saturation and must lie in [0, 1].
     """
 
     value: Union[float, TimeFn]
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not callable(self.value) and not 0.0 <= self.value <= 1.0:
+            raise ValueError(f"Dirichlet value must be in [0, 1], got {self.value}")
 
     def flux_and_slope(self, end: str, s_cell: float, t: float, dz: float,
                        p: Parameters) -> tuple[float, float]:

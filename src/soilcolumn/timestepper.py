@@ -25,7 +25,7 @@ the initial time, the requested output times and the last state, so the
 memory of a run does not grow by a profile per step.
 
 Failures are data, not exceptions: when the rhs at the initial state is
-not finite, or the controller cannot shrink the step below dt_min, the
+not finite, or the controller cannot shrink the step below DT_MIN, the
 returned Trace carries status "failed" and the last accepted state.
 """
 
@@ -58,6 +58,10 @@ SAFETY = 0.9
 # step halved. Read at call time, so a test can patch them.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 25
+# The first step, which the capped factors correct within a few attempts,
+# and the smallest: a run whose step would fall below DT_MIN fails there.
+DT_INIT = 1e-4
+DT_MIN = 1e-12
 # TR-BDF2 with this GAMMA has the stage coefficient GAMMA/2 =
 # (1 - GAMMA)/(2 - GAMMA) in both stages, so they share a Newton matrix.
 GAMMA = 2.0 - math.sqrt(2.0)
@@ -77,12 +81,10 @@ TAYLOR = 0.5 * GAMMA**2 / (1.0 - GAMMA)
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and guards of the step-size controller and error test."""
+    """The error test's tolerances and the step-size cap."""
 
     rel_tol: float = 1e-5
     abs_tol: float = 1e-6
-    dt_init: float = 1e-4
-    dt_min: float = 1e-12
     # The method is L-stable, so the cap buys no stability. It bounds the
     # error of the accepted states in the slow tail, and so the events
     # there: near example1's gap<0.01 the gap falls by about 2e-5 per unit
@@ -92,10 +94,8 @@ class SolverSettings:
     dt_max: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.dt_min < self.dt_init <= self.dt_max:
-            raise ValueError(
-                f"need 0 < dt_min < dt_init <= dt_max, got "
-                f"{self.dt_min}, {self.dt_init}, {self.dt_max}")
+        if not DT_INIT <= self.dt_max:
+            raise ValueError(f"need dt_max >= DT_INIT={DT_INIT}, got {self.dt_max}")
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -321,8 +321,8 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
             failure = f"non-finite rhs at the initial state: {exc}"
     # f1 - f_gamma of the last accepted step and its length; zero before
     # the first, whose trapezoid stage so starts from u0 + GAMMA*dt*f0.
-    bend, dt_prev = np.zeros_like(s), settings.dt_init
-    dt_next = settings.dt_init
+    bend, dt_prev = np.zeros_like(s), DT_INIT
+    dt_next = DT_INIT
     target_idx = 0
     while target_idx < len(targets) and failure is None:
         target = targets[target_idx]
@@ -331,8 +331,8 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
             target_idx += 1
             continue
         dt = min(dt_next, gap)
-        # Avoid leaving a sliver shorter than dt_min before the target.
-        if gap - dt < settings.dt_min:
+        # Avoid leaving a sliver shorter than DT_MIN before the target.
+        if gap - dt < DT_MIN:
             dt = gap
 
         # dt only shrinks from here, so it never exceeds gap.
@@ -350,7 +350,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                 err = _error_estimate(dt, f0, f_gamma, f1, s, settings)
                 # A NaN estimate must end in underflow, not loop: it shrinks
                 # the step by SHRINK_CAP (nan > SHRINK_CAP is false), and the
-                # guard reads "not dt >= dt_min" (nan < dt_min is false).
+                # guard reads "not dt >= DT_MIN" (nan < DT_MIN is false).
                 factor = GROWTH_CAP if err == 0.0 else SAFETY * err ** CONTROL_EXPONENT
                 factor = min(factor if factor > SHRINK_CAP else SHRINK_CAP, GROWTH_CAP)
                 if err <= 1.0:
@@ -362,12 +362,12 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                     pending, net = accepted(t, s, dt, iters, err, net_trapezoid)
                     if hit:
                         target_idx += 1
-                    dt_next = min(max(dt * factor, settings.dt_min), settings.dt_max)
+                    dt_next = min(max(dt * factor, DT_MIN), settings.dt_max)
                     break
                 rejected_error += 1
-                cause = f"below dt_min={settings.dt_min} (error estimate {err:.3g})"
+                cause = f"below dt_min={DT_MIN} (error estimate {err:.3g})"
             dt *= factor
-            if not dt >= settings.dt_min:
+            if not dt >= DT_MIN:
                 failure = f"step size underflow {cause}"
                 break
     yield pending._replace(failure=failure, rejected_error=rejected_error,

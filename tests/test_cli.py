@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from soilcolumn import timestepper
 from soilcolumn.cli import FRONT_THRESHOLD, GAP_THRESHOLD, main
 from soilcolumn.diagnostics import (
     FRONT_DEPTH, MAX_ABOVE_ONE, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, detect_event,
@@ -101,13 +102,14 @@ class TestRun:
                      "--out", str(out)]) == 0
         assert json.loads(read(out / "config.json"))["params"]["h"] == 10.0
 
-    def test_solver_failure_exits_2_and_reports(self, tmp_path, capsys):
+    def test_solver_failure_exits_2_and_reports(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(timestepper, "DT_MIN", 5e-5)
         cfg = {
             "scenario": "example3",
             "set": {"kappa": 0.0},
             "t_end": 0.5,
-            "solver": {"rel_tol": 1e-13, "abs_tol": 1e-15, "dt_init": 1e-4,
-                       "dt_min": 5e-5},
+            "solver": {"rel_tol": 1e-13, "abs_tol": 1e-15},
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -217,16 +219,16 @@ class TestArtifacts:
         }
         assert read(out / "events.json") == json.dumps(summary, indent=2) + "\n"
 
-    def test_sweep_rows_match_members(self, tmp_path):
+    def test_sweep_rows_match_members(self, tmp_path, monkeypatch):
         # A column at rest below s_bar=0.5 has rhs 0, so every step's error
         # estimate is 0 and passes any tolerance; at s_bar=0.1 it moves,
-        # and no step above dt_min meets a rel_tol of 1e-13, so that
-        # member fails.
+        # and no step above DT_MIN = 5e-5 meets a rel_tol of 1e-13, so
+        # that member fails.
+        monkeypatch.setattr(timestepper, "DT_MIN", 5e-5)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "ic": [[-1.0, 0.3], [0.0, 0.3]], "t_end": 0.1,
-            "solver": {"rel_tol": 1e-13, "abs_tol": 1e-15, "dt_init": 1e-4,
-                       "dt_min": 5e-5}}))
+            "solver": {"rel_tol": 1e-13, "abs_tol": 1e-15}}))
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(path), "--param", "s_bar",
                      "--values", "0.5,0.1", "--out", str(out)]) == 0
@@ -377,6 +379,9 @@ class TestConfigErrors:
         pytest.param({"t_end": True}, id="doc16"),
         pytest.param({"solver": {"rel_tol": True}}, id="doc17"),
         pytest.param({"solver": {"newton_max_iter": 2.7}}, id="doc18"),
+        # a saturation outside [0, 1] at a Dirichlet end
+        pytest.param({"bc": {"top": {"type": "dirichlet", "value": 2.0},
+                             "bottom": {"type": "flux", "value": 0.0}}}, id="doc19"),
     ])
     def test_inline_config_rejected_before_solving(self, tmp_path, capsys,
                                                    no_solver, doc):
@@ -404,6 +409,8 @@ class TestConfigErrors:
         pytest.param({"solver": {"safety": 0.9}}, id="doc9"),
         pytest.param({"solver": {"newton_tol": 1e-5}}, id="doc10"),
         pytest.param({"solver": {"newton_max_iter": 1}}, id="doc11"),
+        pytest.param({"solver": {"dt_init": 1e-4}}, id="doc12"),
+        pytest.param({"solver": {"dt_min": 1e-12}}, id="doc13"),
     ])
     def test_scenario_config_rejected_before_solving(self, tmp_path, capsys,
                                                      no_solver, doc):
@@ -480,12 +487,12 @@ class TestSweep:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_member_failures_do_not_abort_sweep(self, tmp_path):
+    def test_member_failures_do_not_abort_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(timestepper, "DT_MIN", 5e-5)
         cfg = {
             "scenario": "example3",
             "t_end": 0.5,
-            "solver": {"rel_tol": 1e-13, "abs_tol": 1e-15, "dt_init": 1e-4,
-                       "dt_min": 5e-5},
+            "solver": {"rel_tol": 1e-13, "abs_tol": 1e-15},
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))

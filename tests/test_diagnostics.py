@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from soilcolumn import timestepper
 from soilcolumn.diagnostics import (
     FRONT_DEPTH, MAX_ABOVE_ONE, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, detect_event,
     instability_metrics, mass_balance_audit)
@@ -102,13 +103,12 @@ def flux_over_robin():
 
 
 def unreachable_tolerance_run():
-    """The run of test_failure_report_when_tolerance_unreachable; it fails
-    before its first accepted step. Returns (integrate's arguments,
-    output times)."""
+    """The run of test_failure_report_when_tolerance_unreachable; with
+    DT_MIN at 5e-5 it fails before its first accepted step. Returns
+    (integrate's arguments, output times)."""
     scn = example3(kappa=0.0)
     g = scn.build_grid()
-    settings = SolverSettings(rel_tol=1e-13, abs_tol=1e-15, dt_init=1e-4,
-                              dt_min=5e-5)
+    settings = SolverSettings(rel_tol=1e-13, abs_tol=1e-15)
     return (scn.initial_state(g), 0.5, [0.5], g, scn.params, scn.bc, settings), [0.5]
 
 
@@ -157,11 +157,14 @@ class TestRecordedScalars:
             scenario.params, scenario.bc)
         self.check(scenario, g, trace, profiles)
 
-    @pytest.mark.parametrize("failing_run", [
-        unreachable_tolerance_run, boundary_turns_nan_run,
+    @pytest.mark.parametrize("failing_run, dt_min", [
+        (unreachable_tolerance_run, 5e-5),
+        (boundary_turns_nan_run, timestepper.DT_MIN),
     ], ids=["at-t0", "after-steps"])
-    def test_failed_run_keeps_last_accepted_state(self, integrate_every_profile,
-                                                  failing_run):
+    def test_failed_run_keeps_last_accepted_state(self, monkeypatch,
+                                                  integrate_every_profile,
+                                                  failing_run, dt_min):
+        monkeypatch.setattr(timestepper, "DT_MIN", dt_min)
         args, output_times = failing_run()
         trace, profiles = integrate_every_profile(*args)
         assert trace.status == FAILED

@@ -156,6 +156,15 @@ class TestBoundaryFlux:
             cls(value)
         cls(lambda t: value)  # a time function is evaluated only when used
 
+    @pytest.mark.parametrize("value", [-0.1, 1.5, 2.0])
+    def test_dirichlet_constant_is_a_saturation(self, value):
+        with pytest.raises(ValueError):
+            Dirichlet(value)
+        for edge in (0.0, 1.0):  # the range is closed
+            Dirichlet(edge)
+        Dirichlet(lambda t: value)  # a time function is evaluated only when used
+        Flux(value)  # a flux is not a saturation
+
 
 class TestRhs:
     def test_uniform_subthreshold_no_flux_is_exactly_zero(self):

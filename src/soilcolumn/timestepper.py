@@ -94,8 +94,9 @@ class SolverSettings:
     dt_max: float = 10.0
 
     def __post_init__(self):
-        if not DT_INIT <= self.dt_max:
-            raise ValueError(f"need dt_max >= DT_INIT={DT_INIT}, got {self.dt_max}")
+        if not DT_INIT <= self.dt_max < math.inf:
+            raise ValueError(
+                f"need finite dt_max >= DT_INIT={DT_INIT}, got {self.dt_max}")
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:

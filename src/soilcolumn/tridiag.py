@@ -25,7 +25,7 @@ class Tridiagonal:
     upper: np.ndarray
 
 
-# A coupled system is reduced until fewer than 2**SWEEP_BITS rows are
+# A system is reduced until fewer than 2**SWEEP_BITS rows are
 # left, and those are solved by a sequential sweep: below that size a
 # level's round of NumPy calls costs more than the rows it eliminates.
 SWEEP_BITS = 6
@@ -63,19 +63,14 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     in vectorised passes. Without pivoting it is stable on diagonally
     dominant matrices, such as the M-matrix I - dt*J of the implicit step.
 
-    The depth follows from the coupled rows, those up to the last row
-    with a nonzero off-diagonal. For C coupled rows, C of L bits, the
-    reduction runs k = max(0, L - SWEEP_BITS) levels, which leaves fewer
-    than 2**SWEEP_BITS = 64 of them, and a sequential Thomas sweep on
-    Python floats solves those and the first row past them. Any rows
-    after that are uncoupled, and each is solved as x = d / b.
-
-    The depth is fixed from the unpadded rows first. The system is then
-    padded with identity rows to the fewest rows that this depth splits
-    evenly, m = 2**depth * ceil((n + 1) / 2**depth) - 1, which leaves
-    ceil((n + 1) / 2**depth) - 1 rows on the last level. Identity rows
-    are uncoupled from the system, so neither the depth nor the first n
-    unknowns depend on their number.
+    For n rows, n of L bits, the reduction runs depth = max(0, L -
+    SWEEP_BITS) levels. The system is padded with identity rows to the
+    fewest rows that this depth splits evenly, m = 2**depth * ceil((n +
+    1) / 2**depth) - 1, which leaves fewer than 2**SWEEP_BITS = 64 rows
+    on the last level, and a sequential Thomas sweep on Python floats
+    solves all of them. The padding follows from n and adds only identity
+    rows, uncoupled from the system, so it changes neither the depth nor
+    the first n unknowns.
 
     Raises ValueError when rhs does not match the matrix size, and
     SingularMatrixError when a pivot vanishes or the solution is not
@@ -88,16 +83,7 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     # nan, so the finiteness check on the solution catches it without a
     # test per level; the sweep's Python floats raise instead.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Every Newton matrix at kappa > 0 couples its last row, so the
-        # pass that finds the last coupled row runs only for the others.
-        coupled_rows = n
-        if n < 2 or tri.lower[-1] == 0.0:
-            off = np.zeros(n)
-            np.abs(tri.lower, off[1:])
-            off[:-1] += np.abs(tri.upper)
-            coupled = np.flatnonzero(off)
-            coupled_rows = int(coupled[-1]) + 1 if coupled.size else 0
-        depth = max(0, coupled_rows.bit_length() - SWEEP_BITS)
+        depth = max(0, n.bit_length() - SWEEP_BITS)
         m = (((n >> depth) + 1) << depth) - 1
         # Row i reads -a[i]*x[i-1] + b[i]*x[i] - c[i]*x[i+1] = d[i]: with
         # the off-diagonals stored negated, the reduction needs no
@@ -129,18 +115,12 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
         # j of the level with stride `step` is row (j + 1) * step / 2 - 1,
         # so its even rows sit at step/2, 3*step/2, ... and their
         # neighbours, solved one level up, half a stride to either side.
-        # The sweep takes the last level's rows up to the first one past
-        # the coupled rows; the rows after it have no off-diagonals, and
-        # each is x = d / b.
         x = np.zeros(m + 2)
         step = 1 << depth
-        last = x[step:-1:step]
-        swept = (coupled_rows >> depth) + 1
         try:
-            last[:swept] = _sweep(a[:swept], b[:swept], c[:swept], d[:swept])
+            x[step:-1:step] = _sweep(a, b, c, d)
         except ZeroDivisionError:
             raise SingularMatrixError("zero pivot") from None
-        np.divide(d[swept:], b[swept:], last[swept:])
         for a, b, c, d in reversed(levels[:-1]):
             even = a[::2] * x[:-1:step]
             np.add(d[::2], even, even)

@@ -411,6 +411,8 @@ class TestConfigErrors:
         pytest.param({"solver": {"newton_max_iter": 1}}, id="doc11"),
         pytest.param({"solver": {"dt_init": 1e-4}}, id="doc12"),
         pytest.param({"solver": {"dt_min": 1e-12}}, id="doc13"),
+        # json writes it as Infinity, which is not JSON
+        pytest.param({"solver": {"dt_max": math.inf}}, id="doc14"),
     ])
     def test_scenario_config_rejected_before_solving(self, tmp_path, capsys,
                                                      no_solver, doc):

@@ -22,6 +22,22 @@ def backward_euler(s_old, dt, g, p):
     return u, iters
 
 
+def count_calls(monkeypatch, **modules):
+    """Count the calls of each function named by a keyword in the module
+    it maps to, there patched for the test: {name: calls so far}."""
+    calls = dict.fromkeys(modules, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, module in modules.items():
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 class TestSolverSettings:
     def test_defaults_valid(self):
         s = SolverSettings()
@@ -36,6 +52,7 @@ class TestSolverSettings:
         pytest.param(dict(abs_tol=-1.0), id="kwargs4"),
         pytest.param(dict(rel_tol=float("inf")), id="kwargs9"),
         pytest.param(dict(abs_tol=float("inf")), id="kwargs10"),
+        pytest.param(dict(dt_max=float("inf")), id="kwargs11"),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -273,17 +290,8 @@ class TestIntegrate:
         # the estimate reuses the rhs of Newton's residual checks, so a
         # run without rejections evaluates rhs once per Newton iteration,
         # and once more in the zero-length stage at the initial state
-        calls = {"rhs": 0, "stage": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(timestepper, "rhs", counted("rhs", timestepper.rhs))
-        monkeypatch.setattr(timestepper, "_newton_solve",
-                            counted("stage", timestepper._newton_solve))
+        calls = count_calls(monkeypatch, rhs=timestepper,
+                            _newton_solve=timestepper)
         # a first step of 1e-4 is rejected once on this profile; 1e-5 is not
         monkeypatch.setattr(timestepper, "DT_INIT", 1e-5)
         scn = example1()
@@ -292,8 +300,25 @@ class TestIntegrate:
                           scn.bc)
         assert trace.status == COMPLETED
         assert trace.rejected_error == trace.rejected_newton == 0
-        assert calls["stage"] == 2 * (len(trace) - 1) + 1
+        assert calls["_newton_solve"] == 2 * (len(trace) - 1) + 1
         assert calls["rhs"] == trace.step_newton_iters.sum() + 1
+
+    def test_solve_jacobian_rhs_stage_identity(self, monkeypatch):
+        # Each stage checks its residual once more than it builds and
+        # solves a Newton system, and nothing else evaluates rhs, so
+        # solves == jacobians == rhs calls - stages, the identity the
+        # traced benchmark checks. A stage that Newton fails breaks it;
+        # steps rejected on their error estimate (93 here) do not.
+        calls = count_calls(monkeypatch, rhs=timestepper, jacobian=timestepper,
+                            solve=timestepper.tridiag,
+                            _newton_solve=timestepper)
+        scn = example1()
+        g = scn.build_grid()
+        trace = integrate(scn.initial_state(g), 5.0, [5.0], g, scn.params, scn.bc)
+        assert trace.status == COMPLETED
+        assert trace.rejected_error > 0 and trace.rejected_newton == 0
+        assert (calls["solve"] == calls["jacobian"]
+                == calls["rhs"] - calls["_newton_solve"])
 
     # Every error estimate above 1 and every NewtonError halving is one
     # rejected attempt. With the default settings the draining front

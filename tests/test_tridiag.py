@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import soilcolumn
 from soilcolumn import tridiag
 from soilcolumn.discretization import jacobian
-from soilcolumn.scenarios import example3
+from soilcolumn.scenarios import example2, example3
 from soilcolumn.tridiag import (
     SWEEP_BITS, SingularMatrixError, Tridiagonal, solve)
 
@@ -45,8 +45,8 @@ def max_relative_error(x, ref):
     return np.abs(x - ref).max() / np.abs(ref).max()
 
 
-# rho = 0 leaves no coupled rows, and the sweep takes only the first;
-# rho of about 1e-3 is reduced 3 levels and swept like any other system.
+# rho = 0 leaves every row uncoupled, and rho of about 1e-3 nearly so;
+# both are reduced 3 levels and swept like any other system of 500 rows.
 @pytest.mark.parametrize("off", [0.0, 5e-4])
 def test_dominant_matrix_matches_dense(off, as_dense):
     rng = np.random.default_rng(20)
@@ -60,7 +60,7 @@ def test_dominant_matrix_matches_dense(off, as_dense):
 
 def test_laplacian_takes_full_depth(as_dense):
     # rho = 1 exactly: the unit off-diagonals do not shrink from level to
-    # level, so rows solved as x = d / b would miss the solution by O(1)
+    # level, so the 62 rows of the last level stay coupled in the sweep
     n = 500
     tri = Tridiagonal(lower=-np.ones(n - 1), diag=np.full(n, 2.0),
                       upper=-np.ones(n - 1))
@@ -90,12 +90,23 @@ def dominant_system(rng, n, depth):
     return Tridiagonal(lower=lower, diag=np.ones(n), upper=upper)
 
 
+def sweep_depth(n):
+    """The levels the reduction runs before the sweep on n rows."""
+    return max(0, n.bit_length() - SWEEP_BITS)
+
+
 def assert_same_solution(tri, b, extra_rows):
+    """The identity rows solve to zero, and the first n unknowns are bit
+    for bit those of the unextended system wherever the extra rows leave
+    the depth unchanged; where they add a level, the reduction rounds
+    differently."""
+    n = b.size
     x = solve(tri, b)
     for k in extra_rows:
         padded = solve(*with_identity_rows(tri, b, k))
-        assert padded[:b.size].tobytes() == x.tobytes(), k
-        assert not padded[b.size:].any()
+        assert not padded[n:].any(), k
+        if sweep_depth(n + k) == sweep_depth(n):
+            assert padded[:n].tobytes() == x.tobytes(), k
 
 
 # Row-dominant systems of n rows on both sides of 2**d * q - 1, extended
@@ -112,8 +123,8 @@ def test_solution_ignores_identity_rows(depth, q, offset):
                          [1, 2, 2 ** depth - 1, 2 ** depth, 2 ** depth + 1, 3 * n])
 
 
-# rho = 1 from n = 3 on: the reduction runs to full depth, one level more
-# once the identity rows add a bit to the row count.
+# rho = 1 from n = 3 on: every level stays coupled, and from n = 64 on
+# identity rows that add a bit to the row count add a level.
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 31, 32, 33, 255, 256, 257])
 def test_full_depth_ignores_identity_rows(n):
     tri = Tridiagonal(lower=-np.ones(n - 1), diag=np.full(n, 2.0),
@@ -146,11 +157,6 @@ def test_sweep_zero_pivot_raises():
     tri = Tridiagonal(lower=np.ones(2), diag=np.ones(3), upper=np.ones(2))
     with pytest.raises(SingularMatrixError):
         solve(tri, np.ones(3))
-
-
-def sweep_depth(n):
-    """The levels the reduction runs before the sweep on n coupled rows."""
-    return max(0, n.bit_length() - SWEEP_BITS)
 
 
 def test_dominant_system_past_sweep_depth(as_dense):
@@ -233,8 +239,10 @@ def swept(monkeypatch):
 
 
 # Uncoupled rows at the end of the input itself, not identity rows, after
-# a coupled block with rho = 1 or rho < 1. However many rows follow, the
-# sweep takes at most 64.
+# a coupled block with rho = 1 or rho < 1. Each solves to d / b exactly,
+# and the coupled block keeps its solution bit for bit where they leave
+# the depth unchanged. However many rows follow, the sweep takes fewer
+# than 64.
 @pytest.mark.parametrize("coupled", ["laplacian", "dominant"])
 def test_trailing_uncoupled_rows_keep_the_solution(coupled, swept):
     n = 500
@@ -253,25 +261,33 @@ def test_trailing_uncoupled_rows_keep_the_solution(coupled, swept):
                                diag=np.append(tri.diag, diag),
                                upper=np.append(tri.upper, np.zeros(k)))
         y = solve(extended, np.append(b, rhs))
-        assert y[:n].tobytes() == x.tobytes(), k
         np.testing.assert_array_equal(y[n:], rhs / diag)
-    assert 0 < max(swept) <= 64
+        if sweep_depth(n + k) == sweep_depth(n):
+            assert y[:n].tobytes() == x.tobytes(), k
+    assert 0 < max(swept) < 2 ** SWEEP_BITS
 
 
-# One path: a solve with coupled rows runs its levels and sweeps once,
-# also where the off-diagonals fall below round-off before the sweep's
-# depth. That holds for the n=5000 matrix at dt=1e-4, as on the
-# fine_front workload, and for a system whose off-diagonals do so after
-# 3 levels; kappa=0 has no lower diagonal, so its coupled rows end at the
-# last nonzero of the upper one.
-@pytest.mark.parametrize("system", ["fine_front", "dominant", "pure_transport"])
+# One path: a solve runs its levels and sweeps once, also where the
+# off-diagonals fall below round-off before the sweep's depth. That holds
+# for the n=5000 matrix at dt=1e-4, as on the fine_front workload, and
+# for a system whose off-diagonals do so after 3 levels. kappa=0 has no
+# lower diagonal; under example2's dry top its off-diagonals end at row
+# 48 of 500, and the depth still follows from the 500 rows.
+@pytest.mark.parametrize("system", ["fine_front", "dominant", "pure_transport",
+                                    "dry_top"])
 def test_coupled_solve_sweeps_once(system, swept):
     if system == "fine_front":
         tri = newton_matrix(dataclasses.replace(example3(), d=0.001), dt=1e-4)
     elif system == "dominant":
         tri = dominant_system(np.random.default_rng(25), 500, 3)
-    else:
+    elif system == "pure_transport":
         tri = newton_matrix(example3(kappa=0.0), dt=0.5)
+    else:
+        scn = example2()
+        scn = dataclasses.replace(
+            scn, params=dataclasses.replace(scn.params, kappa=0.0))
+        tri = newton_matrix(scn, dt=0.5)
+        assert tri.upper[47] and not tri.upper[48:].any()
     n = tri.diag.size
     b = np.random.default_rng(n).normal(size=n)
     x = solve(tri, b)

@@ -229,10 +229,6 @@ def jacobian(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> Tridi
     upwinded transport slope on the diagonal and the upper diagonal.
     The transport contribution to the upper diagonal is nonnegative,
     which is the monotonicity of the upwind choice.
-
-    Every call returns three new arrays that nothing else holds, so the
-    caller may overwrite them; the Newton iteration scales them in place
-    into its matrix I - dt*J.
     """
     s = state.s
     t = state.time

@@ -44,7 +44,7 @@ from .discretization import (
 from .model import Parameters
 
 # Step-size growth is capped so one lucky estimate cannot fling the
-# controller against dt_max and trigger rejection cascades.
+# controller against DT_MAX and trigger rejection cascades.
 GROWTH_CAP = 10.0
 # On rejection the step shrinks at least this much even for wild error
 # estimates.
@@ -62,6 +62,14 @@ NEWTON_MAX_ITER = 25
 # and the smallest: a run whose step would fall below DT_MIN fails there.
 DT_INIT = 1e-4
 DT_MIN = 1e-12
+# The longest step. The method is L-stable, so the cap buys no stability.
+# It bounds the error of the accepted states in the slow tail, and so the
+# events there: near example1's gap<0.01 the gap falls by about 2e-5 per
+# unit time, and an uncapped tail error of 1.6e-5 moves the event by 0.8
+# however detect_event interpolates. Against a cap of 1, every event of
+# example1 and example2 moves by at most 0.05 at 10 (README). Read at call
+# time, so a test can patch it.
+DT_MAX = 10.0
 # TR-BDF2 with this GAMMA has the stage coefficient GAMMA/2 =
 # (1 - GAMMA)/(2 - GAMMA) in both stages, so they share a Newton matrix.
 GAMMA = 2.0 - math.sqrt(2.0)
@@ -81,22 +89,12 @@ TAYLOR = 0.5 * GAMMA**2 / (1.0 - GAMMA)
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """The error test's tolerances and the step-size cap."""
+    """The error test's tolerances."""
 
     rel_tol: float = 1e-5
     abs_tol: float = 1e-6
-    # The method is L-stable, so the cap buys no stability. It bounds the
-    # error of the accepted states in the slow tail, and so the events
-    # there: near example1's gap<0.01 the gap falls by about 2e-5 per unit
-    # time, and an uncapped tail error of 1.6e-5 moves the event by 0.8
-    # however detect_event interpolates. Against a cap of 1, every event
-    # of example1 and example2 moves by at most 0.05 at 10 (README).
-    dt_max: float = 10.0
 
     def __post_init__(self):
-        if not DT_INIT <= self.dt_max < math.inf:
-            raise ValueError(
-                f"need finite dt_max >= DT_INIT={DT_INIT}, got {self.dt_max}")
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -208,13 +206,10 @@ def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
         bound = NEWTON_TOL * (1.0 + np.abs(u).max())
         if np.abs(residual).max() < bound:
             return u, it, f
-        # Newton matrix of the implicit update, I - dt * d(rhs)/ds, built
-        # in the arrays jacobian returns.
-        system = jacobian(state, grid, p, bc)
-        system.lower *= -dt
-        system.diag *= dt
-        np.subtract(1.0, system.diag, system.diag)
-        system.upper *= -dt
+        # Newton matrix of the implicit update, I - dt * d(rhs)/ds.
+        jac = jacobian(state, grid, p, bc)
+        system = tridiag.Tridiagonal(
+            -dt * jac.lower, 1.0 - dt * jac.diag, -dt * jac.upper)
         try:
             delta = tridiag.solve(system, np.negative(residual, residual))
         except tridiag.SingularMatrixError as exc:
@@ -363,7 +358,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                     pending, net = accepted(t, s, dt, iters, err, net_trapezoid)
                     if hit:
                         target_idx += 1
-                    dt_next = min(max(dt * factor, DT_MIN), settings.dt_max)
+                    dt_next = min(max(dt * factor, DT_MIN), DT_MAX)
                     break
                 rejected_error += 1
                 cause = f"below dt_min={DT_MIN} (error estimate {err:.3g})"

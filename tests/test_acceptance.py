@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from soilcolumn import timestepper
 from soilcolumn.diagnostics import (
     FRONT_DEPTH, MAX_BELOW_SBAR, MAXMIN_BELOW_GAP, InstabilityMetrics,
     detect_event, instability_metrics, mass_balance_audit)
@@ -193,22 +194,22 @@ def test_default_run_reaches_dt_max(ex1_run):
     # TR-BDF2 is L-stable, so in the capillary tail the error controller
     # runs into the cap: no accepted step exceeds it, and some reach it.
     _, _, trace, _, _ = ex1_run
-    assert trace.step_dt.max() == SolverSettings().dt_max
+    assert trace.step_dt.max() == timestepper.DT_MAX
 
 
-def test_dt_max_of_one_still_reachable(ex1_run):
-    # A cap of 1 stays available through SolverSettings (the solver.dt_max
-    # config key): example1 then takes 3,194 accepted steps and 105
-    # rejections, against 997 and 106 at the default cap of 10.
+def test_dt_max_of_one_still_reachable(ex1_run, monkeypatch):
+    # The reason DT_MAX is 10: with the cap patched to 1, example1 takes
+    # 3,194 accepted steps and 105 rejections, against 997 and 106 at 10,
+    # and every event of the run at 10 lies within 0.05 of the run at 1
+    # (153.2130 against 153.2456, 590.7461 against 590.7497, 1757.2659
+    # against 1757.2751).
+    monkeypatch.setattr(timestepper, "DT_MAX", 1.0)
     scn, grid, default, _, _ = ex1_run
     trace = integrate(scn.initial_state(grid), scn.t_end, scn.output_times,
-                      grid, scn.params, scn.bc, SolverSettings(dt_max=1.0))
+                      grid, scn.params, scn.bc)
     assert trace.step_dt.max() == 1.0
     assert len(trace) - 1 == 3194
     assert trace.rejected_error + trace.rejected_newton == 105
-    # The reason for the default cap: every event of the default run lies
-    # within 0.05 of the cap-1 run's (153.2130 against 153.2456, 590.7461
-    # against 590.7497, 1757.2659 against 1757.2751).
     for kind, threshold in ((MAX_BELOW_SBAR, scn.params.s_bar),
                             (MAXMIN_BELOW_GAP, 0.1), (MAXMIN_BELOW_GAP, 0.01)):
         assert abs(detect_event(default, kind, threshold).time

@@ -10,7 +10,7 @@ solves exactly, with m and a the mean and half the difference of its
 top and bottom values (Burgers 1948; Whitham 1974). The wave stays above
 s_bar, so it does not exercise the kink of the gravity flux there. The
 column ends carry the exact values as time-dependent Dirichlet ends, and
-every run takes fixed steps: the first step DT_INIT == dt_max, and
+every run takes fixed steps: the first step DT_INIT == DT_MAX, and
 tolerances no step can fail.
 """
 
@@ -34,11 +34,12 @@ def exact(z, t):
 def fixed_step_run(monkeypatch, d, dt):
     """(grid, final profile) of the wave from t=0 to T_END in steps of dt."""
     monkeypatch.setattr(timestepper, "DT_INIT", dt)
+    monkeypatch.setattr(timestepper, "DT_MAX", dt)
     p = Parameters(kappa=KAPPA, alpha_g=ALPHA_G, s_bar=S_BAR, depth_h=H)
     bc = BoundarySpec(top=Dirichlet(lambda t: float(exact(0.0, t))),
                       bottom=Dirichlet(lambda t: float(exact(-H, t))))
     g = build_grid(H, d)
-    settings = SolverSettings(rel_tol=1e6, abs_tol=1e6, dt_max=dt)
+    settings = SolverSettings(rel_tol=1e6, abs_tol=1e6)
     trace = integrate(State(0.0, exact(g.centers, 0.0)), T_END, [T_END], g, p, bc,
                       settings)
     assert trace.status == COMPLETED

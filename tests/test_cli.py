@@ -84,7 +84,8 @@ class TestRun:
         doc = json.loads(read(out / "config.json"))
         assert doc["params"]["kappa"] == 0.005
         assert doc["bc"]["top"]["type"] == "robin"
-        assert doc["solver"]["rel_tol"] == 1e-5  # defaults are echoed
+        # the default tolerances are echoed, and nothing else of the solver
+        assert doc["solver"] == {"rel_tol": 1e-05, "abs_tol": 1e-06}
         again = tmp_path / "inline-again"
         assert main(["run", "--config", str(out / "config.json"),
                      "--out", str(again)]) == 0
@@ -413,6 +414,9 @@ class TestConfigErrors:
         pytest.param({"solver": {"dt_min": 1e-12}}, id="doc13"),
         # json writes it as Infinity, which is not JSON
         pytest.param({"solver": {"dt_max": math.inf}}, id="doc14"),
+        # the solver section of a config.json that echoed the step cap
+        pytest.param({"solver": {"rel_tol": 1e-05, "abs_tol": 1e-06,
+                                 "dt_max": 10.0}}, id="doc15"),
     ])
     def test_scenario_config_rejected_before_solving(self, tmp_path, capsys,
                                                      no_solver, doc):

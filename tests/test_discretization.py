@@ -288,7 +288,8 @@ class TestJacobian:
         np.testing.assert_allclose(jac, fd, rtol=1e-5, atol=1e-7)
 
     def test_returns_new_arrays(self):
-        # Newton scales the arrays in place, so no two calls may share them
+        # jacobian caches nothing: its bands share memory with neither the
+        # state nor the bands of another call
         g = build_grid(1.0, 0.1)
         bc = BoundarySpec(top=Dirichlet(0.9), bottom=Robin(0.7, 0.3))
         state = State(0.0, np.random.default_rng(9).uniform(0.0, 1.0, g.n_cells))

@@ -5,33 +5,37 @@ A sealed column whose mean saturation is above s_bar settles where the
 flux kappa*s_z + alpha_g*(s - s_bar)^2 vanishes everywhere, at
 s = s_bar + (kappa/alpha_g)/(z + L) (tests/oracles.py). After the
 transient the run is a slow approach to this state, so the error
-controller lengthens the step until dt_max stops it. The upwind flux is
-first order, so the L1 error of the settled profile falls as dz.
+controller lengthens the step until the cap DT_MAX stops it. The upwind
+flux is first order, so the L1 error of the settled profile falls as dz.
 """
 
 import numpy as np
 import pytest
 
 from soilcolumn import (
-    Parameters, SolverSettings, State, build_grid, integrate, mass_balance_audit,
-    no_flux)
+    Parameters, State, build_grid, integrate, mass_balance_audit, no_flux,
+    timestepper)
 from soilcolumn.timestepper import COMPLETED
 
 from oracles import sealed_steady_state
 
 P = Parameters(kappa=0.1, alpha_g=0.5, s_bar=0.2303, depth_h=5.0)
 MEAN, T_END = 0.3, 20000.0
-SETTINGS = SolverSettings(dt_max=1000.0)
+# At the integrator's DT_MAX of 10 the four runs take about 2,040 steps
+# each, so the runs lift the cap to reach T_END in under 100.
+DT_MAX = 1000.0
 
 
 @pytest.fixture(scope="module")
 def settled():
     """{n: (grid, trace)} of a uniform column at MEAN run to T_END on n cells."""
     runs = {}
-    for n in (50, 100, 200, 400):
-        g = build_grid(P.depth_h, P.depth_h / n)
-        runs[n] = g, integrate(State(0.0, np.full(n, MEAN)), T_END, [T_END], g,
-                               P, no_flux(), SETTINGS)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timestepper, "DT_MAX", DT_MAX)
+        for n in (50, 100, 200, 400):
+            g = build_grid(P.depth_h, P.depth_h / n)
+            runs[n] = g, integrate(State(0.0, np.full(n, MEAN)), T_END, [T_END],
+                                   g, P, no_flux())
     return runs
 
 
@@ -65,5 +69,5 @@ def test_long_steps_keep_the_mass(settled):
 def test_controller_reaches_dt_max(settled):
     # 78 to 86 accepted steps measured from n=50 to n=400, none rejected.
     for _, trace in settled.values():
-        assert trace.step_dt.max() == SETTINGS.dt_max
+        assert trace.step_dt.max() == DT_MAX
         assert len(trace) - 1 <= 100

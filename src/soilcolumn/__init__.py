@@ -34,16 +34,15 @@ from .model import (
     Parameters,
     gravity_flux,
     gravity_flux_derivative,
-    positive_part,
 )
 from .scenarios import (
+    SANDY_LOAM_SBAR,
     PiecewiseLinearIC,
     Scenario,
     example1,
     example2,
     example3,
     ic_from_breakpoints,
-    sandy_loam_sbar,
 )
 from .timestepper import (
     Accepted,
@@ -62,9 +61,9 @@ __all__ = [
     "InstabilityMetrics", "NewtonError", "Parameters",
     "PiecewiseLinearIC", "Robin", "Scenario", "SolverSettings", "State",
     "Trace", "FRONT_DEPTH", "MAX_ABOVE_ONE", "MAX_BELOW_SBAR", "MAXMIN_BELOW_GAP",
+    "SANDY_LOAM_SBAR",
     "accepted_states", "build_grid", "detect_event",
     "example1", "example2", "example3", "gravity_flux",
     "gravity_flux_derivative", "ic_from_breakpoints", "instability_metrics",
-    "integrate", "mass_balance_audit", "no_flux", "positive_part", "record",
-    "rhs", "sandy_loam_sbar",
+    "integrate", "mass_balance_audit", "no_flux", "record", "rhs",
 ]

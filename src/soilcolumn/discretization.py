@@ -116,7 +116,7 @@ class Dirichlet(_Prescribed):
         ghost = 2.0 * self.value_at(t) - s_cell
         # The gravity term is upwinded from the ghost at the top and from
         # the cell at the bottom: gravity_flux and its derivative, done
-        # once on floats. Like positive_part, r <= 0 gives 0.0 and a NaN
+        # once on floats. As in gravity_flux, r <= 0 gives 0.0 and a NaN
         # passes through.
         r = (ghost if end == TOP else s_cell) - p.s_bar
         r = 0.0 if r <= 0.0 else r

@@ -51,17 +51,12 @@ class Parameters:
             raise ValueError(f"depth_h must be finite and > 0, got {self.depth_h}")
 
 
-def positive_part(x):
-    """Nonnegative part max(x, 0), elementwise on arrays."""
-    return np.maximum(x, 0.0)
-
-
 def gravity_flux(s, p: Parameters):
     """Gravitational part of the flux, alpha_g * ((s - s_bar)+)^2.
 
     Vanishes at and below the residual saturation and is C1 in s.
     """
-    r = positive_part(s - p.s_bar)
+    r = np.maximum(s - p.s_bar, 0.0)
     return p.alpha_g * r * r
 
 
@@ -70,4 +65,4 @@ def gravity_flux_derivative(s, p: Parameters):
 
     Continuous across s = s_bar, where both one-sided derivatives are zero.
     """
-    return 2.0 * p.alpha_g * positive_part(s - p.s_bar)
+    return 2.0 * p.alpha_g * np.maximum(s - p.s_bar, 0.0)

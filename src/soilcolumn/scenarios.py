@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,17 +20,10 @@ from .discretization import (
     BoundarySpec, Dirichlet, Grid, State, build_grid, no_flux)
 from .model import Parameters
 
-SANDY_LOAM_THETA_R = 0.111
-SANDY_LOAM_POROSITY = 0.482
-
-
-def sandy_loam_sbar() -> float:
-    """Residual saturation as residual water content over porosity.
-
-    The sandy-loam ratio is 0.111/0.482, reported rounded as 0.2303;
-    the full-precision ratio is kept to avoid compounding rounding.
-    """
-    return SANDY_LOAM_THETA_R / SANDY_LOAM_POROSITY
+# Residual saturation as residual water content over porosity. The
+# sandy-loam ratio is 0.111/0.482, reported rounded as 0.2303; the
+# full-precision ratio is kept to avoid compounding rounding.
+SANDY_LOAM_SBAR = 0.111 / 0.482
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ _EXAMPLE_PARAMS = dict(kappa=0.005, alpha_g=0.5, depth_h=5.0)
 def example1() -> Scenario:
     """Redistribution of a saturated 0.5-deep surface layer, sealed ends."""
     return Scenario(
-        params=Parameters(s_bar=sandy_loam_sbar(), **_EXAMPLE_PARAMS),
+        params=Parameters(s_bar=SANDY_LOAM_SBAR, **_EXAMPLE_PARAMS),
         d=0.01,
         ic=ic_from_breakpoints([(-0.51, 0.0), (-0.50, 1.0)]),
         bc=no_flux(),
@@ -110,7 +103,7 @@ def example1() -> Scenario:
 def example2() -> Scenario:
     """Wetting from a 0.49-thick bottom layer at s=0.3, sealed ends."""
     return Scenario(
-        params=Parameters(s_bar=sandy_loam_sbar(), **_EXAMPLE_PARAMS),
+        params=Parameters(s_bar=SANDY_LOAM_SBAR, **_EXAMPLE_PARAMS),
         d=0.01,
         ic=ic_from_breakpoints([(-4.51, 0.3), (-4.50, 0.0)]),
         bc=no_flux(),
@@ -119,14 +112,12 @@ def example2() -> Scenario:
     )
 
 
-def example3(kappa: float = 0.005, s_bar: Optional[float] = None) -> Scenario:
+def example3(kappa: float = 0.005, s_bar: float = SANDY_LOAM_SBAR) -> Scenario:
     """Steep wetting front under Dirichlet-zero ends.
 
     kappa in [0, 0.01] spans the stability study; s_bar defaults to the
     sandy-loam value and s_bar=0 switches the stickiness off.
     """
-    if s_bar is None:
-        s_bar = sandy_loam_sbar()
     params = Parameters(kappa=kappa, alpha_g=0.5, s_bar=s_bar, depth_h=5.0)
     return Scenario(
         params=params,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -258,7 +259,7 @@ def _error_estimate(dt: float, f0: np.ndarray, f_gamma: np.ndarray,
 
 def accepted_states(initial: State, t_end: float, output_times: Sequence[float],
                     grid: Grid, p: Parameters, bc: BoundarySpec,
-                    settings: Optional[SolverSettings] = None) -> Iterator[Accepted]:
+                    settings: SolverSettings = SolverSettings()) -> Iterator[Accepted]:
     """The accepted states of a run from initial.time to t_end, in order.
 
     The initial state comes first. Each requested output time is hit
@@ -266,8 +267,6 @@ def accepted_states(initial: State, t_end: float, output_times: Sequence[float],
     go on stops at its last accepted state, which then carries the
     failure reason. The input is checked here, before the first state.
     """
-    if settings is None:
-        settings = SolverSettings()
     t0 = initial.time
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"times must be finite, got t0={t0}, t_end={t_end}")
@@ -292,21 +291,22 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
 
     rejected_error = rejected_newton = 0
 
-    def accepted(t, s, dt=0.0, iters=0, err=0.0, net_trapezoid=0.0):
-        flux_bottom, flux_top = boundary_fluxes(State(time=t, s=s), grid, p, bc)
-        net = flux_top - flux_bottom
-        inflow = dt * (W_TRAPEZOID * net_trapezoid + W_BDF2 * net)
+    def net_inflow(state):
+        flux_bottom, flux_top = boundary_fluxes(state, grid, p, bc)
+        return flux_top - flux_bottom
+
+    def accepted(t, s, dt=0.0, iters=0, err=0.0, inflow=0.0):
         return Accepted(t, s, dt, iters, err, inflow, grid.dz * float(np.sum(s)),
                         float(s.min()), float(s.max()), t == t0 or t in outputs,
-                        rejected_error, rejected_newton), net
+                        rejected_error, rejected_newton)
 
-    targets = sorted({float(t) for t in output_times if t > t0} | {float(t_end)})
+    targets = sorted(outputs | {float(t_end)})
     failure = None
     t = t0
     s = np.array(initial.s, dtype=float)
     # A state is yielded once the step after it is accepted, so that the
     # last one can carry the failure reason.
-    pending, net = accepted(t, s)
+    pending, net = accepted(t, s), net_inflow(State(time=t, s=s))
     # rhs at the initial state from a stage of zero length, so every rhs
     # call is a Newton residual check. It fails only on a non-finite rhs,
     # which no step size mends; a run with no step to take makes none.
@@ -319,13 +319,11 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     # the first, whose trapezoid stage so starts from u0 + GAMMA*dt*f0.
     bend, dt_prev = np.zeros_like(s), DT_INIT
     dt_next = DT_INIT
-    target_idx = 0
-    while target_idx < len(targets) and failure is None:
-        target = targets[target_idx]
+    while t < t_end and failure is None:
+        # The first target after t: a step that lands on one, trimmed or
+        # by rounding, moves on to the next.
+        target = targets[bisect_right(targets, t)]
         gap = target - t
-        if gap <= 0.0:
-            target_idx += 1
-            continue
         dt = min(dt_next, gap)
         # Avoid leaving a sliver shorter than DT_MIN before the target.
         if gap - dt < DT_MIN:
@@ -333,9 +331,8 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
 
         # dt only shrinks from here, so it never exceeds gap.
         while True:
-            hit = dt == gap
             # On the target exactly, so its recorded fluxes are the applied ones.
-            t_new = target if hit else t + dt
+            t_new = target if dt == gap else t + dt
             try:
                 u, iters, stage, f_gamma, f1 = _tr_bdf2(
                     s, f0, t, dt, t_new, grid, p, bc, bend, dt_prev)
@@ -350,18 +347,17 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                 factor = GROWTH_CAP if err == 0.0 else SAFETY * err ** CONTROL_EXPONENT
                 factor = min(factor if factor > SHRINK_CAP else SHRINK_CAP, GROWTH_CAP)
                 if err <= 1.0:
-                    stage_bottom, stage_top = boundary_fluxes(stage, grid, p, bc)
-                    net_trapezoid = net + (stage_top - stage_bottom)
-                    t, s, f0 = t_new, u, f1
+                    net_gamma = net_inflow(stage)
+                    net1 = net_inflow(State(time=t_new, s=u))
+                    inflow = dt * (W_TRAPEZOID * (net + net_gamma) + W_BDF2 * net1)
+                    t, s, f0, net = t_new, u, f1, net1
                     bend, dt_prev = f1 - f_gamma, dt
                     yield pending
-                    pending, net = accepted(t, s, dt, iters, err, net_trapezoid)
-                    if hit:
-                        target_idx += 1
+                    pending = accepted(t, s, dt, iters, err, inflow)
                     dt_next = min(max(dt * factor, DT_MIN), DT_MAX)
                     break
                 rejected_error += 1
-                cause = f"below dt_min={DT_MIN} (error estimate {err:.3g})"
+                cause = f"below DT_MIN={DT_MIN} (error estimate {err:.3g})"
             dt *= factor
             if not dt >= DT_MIN:
                 failure = f"step size underflow {cause}"
@@ -409,7 +405,7 @@ def record(states: Iterable[Accepted]) -> Trace:
 
 def integrate(initial: State, t_end: float, output_times: Sequence[float],
               grid: Grid, p: Parameters, bc: BoundarySpec,
-              settings: Optional[SolverSettings] = None) -> Trace:
+              settings: SolverSettings = SolverSettings()) -> Trace:
     """Advance the column from initial.time to t_end.
 
     The returned Trace records every accepted step and the scalars of

@@ -18,7 +18,7 @@ from soilcolumn.discretization import (
     BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, face_fluxes,
     jacobian, no_flux, rhs)
 from soilcolumn.model import Parameters
-from soilcolumn.scenarios import example1, example2, example3
+from soilcolumn.scenarios import SANDY_LOAM_SBAR, example1, example2, example3
 from soilcolumn.timestepper import SolverSettings, integrate
 
 from oracles import characteristics_oracle
@@ -300,7 +300,7 @@ def test_criterion_4_no_diffusion_collapses(ex3_triptych, acceptance_report):
 
 def test_criterion_5_stickiness_front_depth(acceptance_report):
     depths = {}
-    for s_bar in (0.0, None):
+    for s_bar in (0.0, SANDY_LOAM_SBAR):
         scn = example3(kappa=0.005, s_bar=s_bar)
         grid, trace = run_scenario(scn, t_end=5.0, output_times=[5.0])
         event = detect_event(trace, FRONT_DEPTH, 0.05, grid=grid, at_time=5.0)

@@ -13,7 +13,7 @@ from soilcolumn.diagnostics import (
     instability_metrics, mass_balance_audit)
 from soilcolumn.discretization import BoundarySpec, Flux, Robin, State, build_grid
 from soilcolumn.model import Parameters
-from soilcolumn.scenarios import ic_from_breakpoints, sandy_loam_sbar
+from soilcolumn.scenarios import SANDY_LOAM_SBAR, ic_from_breakpoints
 from soilcolumn.timestepper import integrate
 
 FAST = ["--set", "kappa=0.01", "--t-end", "0.5", "--output-times", "0.25,0.5"]
@@ -120,7 +120,7 @@ class TestRun:
         doc = json.loads(read(out / "events.json"))
         assert doc["solver"]["status"] == "failed"
         assert doc["solver"]["failure_time"] is not None
-        assert "dt_min" in doc["solver"]["reason"]
+        assert "DT_MIN" in doc["solver"]["reason"]
         # artifacts up to the failure time still exist
         assert len(read(out / "mass.csv").splitlines()) >= 2
         assert "solver failure" in capsys.readouterr().err
@@ -182,7 +182,7 @@ class TestArtifacts:
         out = tmp_path / "run"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
-        p = Parameters(kappa=0.005, alpha_g=0.5, s_bar=sandy_loam_sbar(),
+        p = Parameters(kappa=0.005, alpha_g=0.5, s_bar=SANDY_LOAM_SBAR,
                        depth_h=5.0)
         g = build_grid(5.0, 0.01)
         bc = BoundarySpec(top=Flux(0.003), bottom=Robin(1.0, 0.1))

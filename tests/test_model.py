@@ -3,8 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soilcolumn.model import (
-    Parameters, gravity_flux, gravity_flux_derivative, positive_part)
+from soilcolumn.model import Parameters, gravity_flux, gravity_flux_derivative
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 
@@ -27,14 +26,6 @@ def test_parameters_validation(kwargs):
 
 def test_parameters_boundary_values_allowed():
     Parameters(kappa=0.0, alpha_g=0.0, s_bar=0.0)
-
-
-def test_positive_part():
-    assert positive_part(-0.3) == 0.0
-    assert positive_part(0.0) == 0.0
-    assert positive_part(0.7) == 0.7
-    np.testing.assert_array_equal(
-        positive_part(np.array([-1.0, 0.0, 2.5])), [0.0, 0.0, 2.5])
 
 
 def test_gravity_flux_below_threshold_is_zero():

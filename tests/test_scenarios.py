@@ -4,11 +4,11 @@ import pytest
 from soilcolumn.discretization import Dirichlet, Flux
 from soilcolumn.scenarios import (
     Scenario, by_name, example1, example2, example3,
-    ic_from_breakpoints, sandy_loam_sbar)
+    SANDY_LOAM_SBAR, ic_from_breakpoints)
 
 
 def test_sandy_loam_sbar():
-    value = sandy_loam_sbar()
+    value = SANDY_LOAM_SBAR
     assert value == pytest.approx(0.111 / 0.482, rel=1e-15)
     assert round(value, 4) == 0.2303
 
@@ -79,7 +79,7 @@ class TestExample3:
         scn = example3(kappa=0.0, s_bar=0.0)
         assert scn.params.kappa == 0.0
         assert scn.params.s_bar == 0.0
-        assert example3().params.s_bar == pytest.approx(sandy_loam_sbar())
+        assert example3().params.s_bar == pytest.approx(SANDY_LOAM_SBAR)
         assert example3().output_times == (0.5, 5.0)
 
 

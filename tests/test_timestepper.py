@@ -149,6 +149,47 @@ class TestIntegrate:
         assert len(trace) == 1
         assert trace.status == COMPLETED
         np.testing.assert_array_equal(trace.profiles[0], state.s)
+        # a run that starts on its end time, with an output there
+        state = State(2.5, np.full(g.n_cells, 0.3))
+        trace = integrate(state, 2.5, [2.5], g, SANDY, no_flux())
+        assert len(trace) == 1
+        assert trace.status == COMPLETED
+        assert trace.times.tolist() == [2.5]
+        np.testing.assert_array_equal(trace.state_at(2.5).s, state.s)
+
+    def test_output_time_reached_by_rounding(self, monkeypatch):
+        # Below s_bar and uniform, the sealed column has rhs 0 and error 0.
+        # At t0 = 2**15 a float's spacing is 2**-37 ~ 7.3e-12, so a first
+        # step 3e-12 short of the output is not trimmed (the sliver is
+        # above DT_MIN), yet t0 + dt rounds onto the output exactly.
+        monkeypatch.setattr(timestepper, "DT_INIT", 1.0 - 3e-12)
+        p = Parameters(kappa=0.01, alpha_g=0.5, s_bar=0.2)
+        g = build_grid(1.0, 0.1)
+        t0 = 2.0 ** 15
+        state = State(t0, np.full(g.n_cells, 0.1))
+        trace = integrate(state, t0 + 2.0, [t0 + 1.0, t0 + 2.0], g, p,
+                          no_flux())
+        assert trace.status == COMPLETED
+        assert trace.times.tolist() == [t0, t0 + 1.0, t0 + 2.0]
+        assert trace.kept.tolist() == [0, 1, 2]
+        assert trace.step_dt[0] == 0.999999999997
+        at_output = trace.state_at(t0 + 1.0)
+        assert at_output.time == t0 + 1.0
+        np.testing.assert_array_equal(at_output.s, state.s)
+
+    def test_step_inflow_integrates_a_linear_flux_exactly(self):
+        # A step books dt*(W_TRAPEZOID*(net(t) + net(t + GAMMA*dt)) +
+        # W_BDF2*net(t + dt)), a quadrature exact for net linear in t: here
+        # net = 0.01*t, whose integral over a step is 0.005*(t1**2 - t0**2).
+        g = build_grid(1.0, 0.1)
+        state = State(0.0, np.linspace(0.0, 0.9, g.n_cells))
+        bc = BoundarySpec(top=Flux(lambda t: 0.01 * t), bottom=Flux(0.0))
+        trace = integrate(state, 2.0, [1.0, 2.0], g, SANDY, bc)
+        assert trace.status == COMPLETED
+        t = trace.times
+        np.testing.assert_allclose(trace.step_inflow,
+                                   0.005 * (t[1:] ** 2 - t[:-1] ** 2),
+                                   rtol=1e-12, atol=1e-18)
 
     def test_uniform_diffusion_stays_constant(self, integrate_every_profile):
         p = Parameters(kappa=0.01, alpha_g=0.0, s_bar=0.0)
@@ -258,7 +299,7 @@ class TestIntegrate:
                           scn.bc, settings)
         assert trace.status == FAILED
         assert trace.failure_reason is not None
-        assert "dt_min" in trace.failure_reason
+        assert "DT_MIN" in trace.failure_reason
         assert trace.failure_time == trace.times[-1]
         assert len(trace) >= 1
 

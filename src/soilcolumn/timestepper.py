@@ -179,9 +179,10 @@ class Trace:
 
     def state_at(self, t: float) -> State:
         """The kept state within 1e-9 of t, such as an output time;
-        ValueError when there is none, or its profile was not kept."""
+        ValueError when there is none, as for a NaN t, or its profile
+        was not kept."""
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9:
+        if not abs(self.times[i] - t) <= 1e-9:
             raise ValueError(f"no trace entry at t={t}")
         row = int(np.searchsorted(self.kept, i))
         if row == self.kept.size or self.kept[row] != i:

@@ -228,6 +228,17 @@ def dense_fd_jacobian(state, grid, p, bc, h=1e-7):
     return out
 
 
+END_PAIRS = [
+    no_flux(),
+    BoundarySpec(top=Dirichlet(0.0), bottom=Dirichlet(0.0)),
+    BoundarySpec(top=Robin(1.5, 0.2), bottom=Flux(0.02)),
+    BoundarySpec(top=Flux(0.0), bottom=Dirichlet(0.4)),
+    BoundarySpec(top=Dirichlet(0.9), bottom=Robin(0.7, 0.3)),
+    BoundarySpec(top=Dirichlet(lambda t: 0.5 + 2.0 * t),
+                 bottom=Flux(lambda t: 0.01 * t)),
+]
+
+
 class TestJacobian:
     def test_no_physics_no_coupling(self, as_dense):
         p = Parameters(kappa=0.0, alpha_g=0.0, s_bar=0.2)
@@ -248,15 +259,7 @@ class TestJacobian:
         assert jac.diag[0] == pytest.approx(-k, rel=1e-14)
         assert jac.diag[-1] == pytest.approx(-k, rel=1e-14)
 
-    @pytest.mark.parametrize("bc", [
-        no_flux(),
-        BoundarySpec(top=Dirichlet(0.0), bottom=Dirichlet(0.0)),
-        BoundarySpec(top=Robin(1.5, 0.2), bottom=Flux(0.02)),
-        BoundarySpec(top=Flux(0.0), bottom=Dirichlet(0.4)),
-        BoundarySpec(top=Dirichlet(0.9), bottom=Robin(0.7, 0.3)),
-        BoundarySpec(top=Dirichlet(lambda t: 0.5 + 2.0 * t),
-                     bottom=Flux(lambda t: 0.01 * t)),
-    ])
+    @pytest.mark.parametrize("bc", END_PAIRS)
     def test_matches_finite_differences(self, bc, as_dense):
         rng = np.random.default_rng(5)
         g = build_grid(1.0, 0.05)
@@ -266,6 +269,26 @@ class TestJacobian:
             fd = dense_fd_jacobian(state, g, SANDY, bc)
             scale = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(jac - fd)) / scale <= 1e-5
+
+    @pytest.mark.parametrize("bc", END_PAIRS)
+    def test_column_sums_telescope(self, bc, as_dense):
+        # dz * sum(rhs) = F_top - F_bottom, and F_top depends on the top
+        # cell alone and F_bottom on the bottom cell alone, so dz times a
+        # column sum of J is 0 but in those two columns, where it is the
+        # slope of the top flux and minus that of the bottom flux. Under
+        # Flux ends every column sums to 0.
+        rng = np.random.default_rng(5)
+        g = build_grid(1.0, 0.05)
+        for _ in range(25):
+            state = State(0.1, rng.uniform(0.0, 1.2, g.n_cells))
+            jac = as_dense(jacobian(state, g, SANDY, bc))
+            expected = np.zeros(g.n_cells)
+            expected[0] = -bc.bottom.flux_and_slope(
+                BOTTOM, state.s[0], state.time, g.dz, SANDY)[1]
+            expected[-1] = bc.top.flux_and_slope(
+                TOP, state.s[-1], state.time, g.dz, SANDY)[1]
+            got = g.dz * jac.sum(axis=0)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(jac))
 
     def test_transport_coupling_is_monotone(self):
         # upwinding: a wetter upper neighbour never slows the inflow

@@ -512,8 +512,9 @@ def test_trace_state_lookup():
     np.testing.assert_array_equal(trace.state_at(0.0).s, state.s)
     assert trace.state_at(0.5).time == 0.5
     assert trace.final.time == 1.0
-    with pytest.raises(ValueError, match="no trace entry"):
-        trace.state_at(0.123456)
+    for t in (0.123456, float("nan")):
+        with pytest.raises(ValueError, match="no trace entry"):
+            trace.state_at(t)
     # an accepted time whose profile was not kept
     assert 1 not in trace.kept
     with pytest.raises(ValueError, match="not kept"):

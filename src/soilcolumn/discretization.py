@@ -189,31 +189,30 @@ def no_flux() -> BoundarySpec:
     return BoundarySpec(top=Flux(0.0), bottom=Flux(0.0))
 
 
-def boundary_fluxes(state: State, grid: Grid, p: Parameters,
-                    bc: BoundarySpec) -> tuple[float, float]:
-    """(F_bottom, F_top), the fluxes through the column ends: entries 0
-    and n of face_fluxes, which takes them from here."""
-    s, t, dz = state.s, state.time, grid.dz
-    return (bc.bottom.flux_and_slope(BOTTOM, s[0], t, dz, p)[0],
-            bc.top.flux_and_slope(TOP, s[-1], t, dz, p)[0])
-
-
 def face_fluxes(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> np.ndarray:
     """All n_cells+1 face fluxes, bottom end first.
 
-    Index i is the face below cell i; entries 0 and n are the boundary
-    fluxes that the mass audit integrates in time.
+    Index i is the face below cell i; entries 0 and n are the fluxes
+    through the column ends, whose difference net_inflow returns.
     """
-    s = state.s
-    n = grid.n_cells
+    s, t, dz, n = state.s, state.time, grid.dz, grid.n_cells
     flux = np.empty(n + 1)
     # kappa * (s[1:] - s[:-1]) / dz + gravity_flux(s[1:]), built in place.
     inner = np.subtract(s[1:], s[:-1], flux[1:n])
     inner *= p.kappa
-    inner /= grid.dz
+    inner /= dz
     inner += gravity_flux(s[1:], p)
-    flux[0], flux[n] = boundary_fluxes(state, grid, p, bc)
+    flux[0] = bc.bottom.flux_and_slope(BOTTOM, s[0], t, dz, p)[0]
+    flux[n] = bc.top.flux_and_slope(TOP, s[-1], t, dz, p)[0]
     return flux
+
+
+def net_inflow(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> float:
+    """The flux into the column through its ends, F_top - F_bottom: the
+    difference of face_fluxes' entries n and 0, from the same calls."""
+    s, t, dz = state.s, state.time, grid.dz
+    return (bc.top.flux_and_slope(TOP, s[-1], t, dz, p)[0]
+            - bc.bottom.flux_and_slope(BOTTOM, s[0], t, dz, p)[0])
 
 
 def rhs(state: State, grid: Grid, p: Parameters, bc: BoundarySpec) -> np.ndarray:

@@ -25,8 +25,8 @@ the initial time, the requested output times and the last state, so the
 memory of a run does not grow by a profile per step.
 
 Failures are data, not exceptions: when the rhs at the initial state is
-not finite, or the controller cannot shrink the step below DT_MIN, the
-returned Trace carries status "failed" and the last accepted state.
+not finite, or the step falls below DT_MIN or no longer moves the clock,
+the returned Trace carries status "failed" and the last accepted state.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import tridiag
 from .discretization import (
-    BoundarySpec, Grid, State, boundary_fluxes, jacobian, rhs)
+    BoundarySpec, Grid, State, jacobian, net_inflow, rhs)
 from .model import Parameters
 
 # Step-size growth is capped so one lucky estimate cannot fling the
@@ -117,13 +117,13 @@ class Accepted(NamedTuple):
     accepted step that produced the state (0 for the initial state).
     inflow is the net boundary inflow the step applied, dt times the
     stage-weighted sum W_TRAPEZOID*(net(u0) + net(u_gamma)) +
-    W_BDF2*net(u1) of net = flux_top - flux_bottom, the fluxes through
-    the column ends. mass is dz * sum(s). output is True at the initial
-    time and at each requested output time. rejected_error and
-    rejected_newton count the attempts the run rejected so far, by the
-    error test and by a Newton failure. failure is set on the last state
-    of a run that stopped before t_end, to the reason it stopped; that
-    state's counts include the attempts after it.
+    W_BDF2*net(u1) of net = discretization.net_inflow. mass is
+    dz * sum(s). output is True at the initial time and at each
+    requested output time. rejected_error and rejected_newton count the
+    attempts the run rejected so far, by the error test and by a Newton
+    failure. failure is set on the last state of a run that stopped
+    before t_end, to the reason it stopped; that state's counts include
+    the attempts after it.
     """
 
     time: float
@@ -292,10 +292,6 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
 
     rejected_error = rejected_newton = 0
 
-    def net_inflow(state):
-        flux_bottom, flux_top = boundary_fluxes(state, grid, p, bc)
-        return flux_top - flux_bottom
-
     def accepted(t, s, dt=0.0, iters=0, err=0.0, inflow=0.0):
         return Accepted(t, s, dt, iters, err, inflow, grid.dz * float(np.sum(s)),
                         float(s.min()), float(s.max()), t == t0 or t in outputs,
@@ -307,7 +303,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     s = np.array(initial.s, dtype=float)
     # A state is yielded once the step after it is accepted, so that the
     # last one can carry the failure reason.
-    pending, net = accepted(t, s), net_inflow(State(time=t, s=s))
+    pending, net = accepted(t, s), net_inflow(State(time=t, s=s), grid, p, bc)
     # rhs at the initial state from a stage of zero length, so every rhs
     # call is a Newton residual check. It fails only on a non-finite rhs,
     # which no step size mends; a run with no step to take makes none.
@@ -334,6 +330,9 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
         while True:
             # On the target exactly, so its recorded fluxes are the applied ones.
             t_new = target if dt == gap else t + dt
+            if t_new == t:
+                failure = f"step size underflow: dt={dt} does not advance t={t}"
+                break
             try:
                 u, iters, stage, f_gamma, f1 = _tr_bdf2(
                     s, f0, t, dt, t_new, grid, p, bc, bend, dt_prev)
@@ -348,8 +347,8 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                 factor = GROWTH_CAP if err == 0.0 else SAFETY * err ** CONTROL_EXPONENT
                 factor = min(factor if factor > SHRINK_CAP else SHRINK_CAP, GROWTH_CAP)
                 if err <= 1.0:
-                    net_gamma = net_inflow(stage)
-                    net1 = net_inflow(State(time=t_new, s=u))
+                    net_gamma = net_inflow(stage, grid, p, bc)
+                    net1 = net_inflow(State(time=t_new, s=u), grid, p, bc)
                     inflow = dt * (W_TRAPEZOID * (net + net_gamma) + W_BDF2 * net1)
                     t, s, f0, net = t_new, u, f1, net1
                     bend, dt_prev = f1 - f_gamma, dt

@@ -5,7 +5,7 @@ import pytest
 
 from soilcolumn.discretization import (
     BOTTOM, MAX_CELLS, TOP, BoundarySpec, Dirichlet, Flux, Robin, State,
-    build_grid, face_fluxes, jacobian, no_flux, rhs)
+    build_grid, face_fluxes, jacobian, net_inflow, no_flux, rhs)
 from soilcolumn.model import (
     Parameters, gravity_flux, gravity_flux_derivative)
 
@@ -199,7 +199,7 @@ class TestRhs:
             total = g.dz * float(np.sum(rhs(state, g, SANDY, no_flux())))
             assert abs(total) <= 1e-13
 
-    def test_telescoping_matches_boundary_fluxes(self):
+    def test_telescoping_matches_net_inflow(self):
         rng = np.random.default_rng(2)
         g = build_grid(5.0, 0.01)
         bcs = [
@@ -213,6 +213,9 @@ class TestRhs:
                 flux = face_fluxes(state, g, SANDY, bc)
                 total = g.dz * float(np.sum(rhs(state, g, SANDY, bc)))
                 assert abs(total - (flux[-1] - flux[0])) <= 1e-13
+                # The mass audit books net_inflow; it must be exactly the
+                # difference of the end fluxes that rhs telescopes to.
+                assert net_inflow(state, g, SANDY, bc) == flux[-1] - flux[0]
 
 
 def dense_fd_jacobian(state, grid, p, bc, h=1e-7):

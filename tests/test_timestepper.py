@@ -5,7 +5,7 @@ import pytest
 
 from soilcolumn import timestepper
 from soilcolumn.discretization import (
-    BoundarySpec, Dirichlet, Flux, State, build_grid, no_flux, rhs)
+    BoundarySpec, Dirichlet, Flux, Robin, State, build_grid, no_flux, rhs)
 from soilcolumn.model import Parameters
 from soilcolumn.scenarios import example1, example3
 from soilcolumn.timestepper import (
@@ -570,3 +570,75 @@ def test_non_finite_rhs_at_the_initial_state_fails_at_once(monkeypatch):
     assert calls["stage"] == 1
     assert trace.rejected_newton == trace.rejected_error == 0
     assert "initial state" in trace.failure_reason
+
+
+@pytest.mark.parametrize("t0, t_end", [(1e20, 1e20 + 1e5), (1e16, 1e16 + 100.0)],
+                         ids=["t0=1e20", "t0=1e16"])
+def test_step_that_does_not_move_the_clock_fails(monkeypatch, t0, t_end):
+    # near t0 = 1e20 a step of DT_MAX = 10 rounds back to t0, and near
+    # 1e16 the first steps do: without a check the first run loops
+    # forever and the second records zero-length steps at one time. The
+    # run fails before its first attempt, after the zero-length stage
+    # that gives f0; the bound on stage calls turns the loop into a
+    # test failure
+    calls = {"stage": 0}
+    solve = timestepper._newton_solve
+
+    def bounded_solve(*args):
+        calls["stage"] += 1
+        assert calls["stage"] < 200, "the clock never moves"
+        return solve(*args)
+
+    monkeypatch.setattr(timestepper, "_newton_solve", bounded_solve)
+    scn = example1()
+    g = scn.build_grid()
+    initial = State(t0, scn.initial_state(g).s)
+    trace = integrate(initial, t_end, [], g, scn.params, no_flux())
+    assert trace.status == FAILED
+    assert trace.failure_reason == (
+        f"step size underflow: dt={timestepper.DT_INIT} does not advance t={t0}")
+    assert len(trace) == 1
+    assert calls["stage"] == 1
+
+
+def smooth_profile(z):
+    """A smooth saturation on (-1, 0) that crosses s_bar = 0.3."""
+    return 0.55 + 0.35 * np.cos(np.pi * (z + 0.1))
+
+
+@pytest.mark.parametrize("bc", [
+    no_flux(),
+    BoundarySpec(top=Robin(0.5, 0.2), bottom=Flux(-0.01)),
+    # Dirichlet values that differ from the initial profile's end values
+    # open a boundary layer that the coarse steps do not resolve (orders
+    # 1.59 / 1.64 / 1.76 measured with 0.6 and 0.4), so the ends hold
+    # the profile's own values, 0.883 and 0.217.
+    BoundarySpec(top=Dirichlet(float(smooth_profile(0.0))),
+                 bottom=Dirichlet(float(smooth_profile(-1.0)))),
+], ids=["sealed", "robin-flux", "dirichlet"])
+def test_second_order_in_time(monkeypatch, bc):
+    # Fixed steps (DT_INIT == DT_MAX and tolerances no step can fail)
+    # of 0.1 down to 0.0125, against a run at dt = 1/640: halving dt
+    # quarters the error at t = 1. Orders measured: 2.03 / 2.02 / 2.02
+    # sealed, 1.98 / 1.99 / 2.02 at Robin and Flux ends, 2.04 / 2.01 /
+    # 2.00 at Dirichlet ends.
+    p = Parameters(kappa=0.05, alpha_g=0.5, s_bar=0.3, depth_h=1.0)
+    g = build_grid(1.0, 0.02)
+    initial = State(0.0, smooth_profile(g.centers))
+    settings = SolverSettings(rel_tol=1e3, abs_tol=1e3)
+
+    def final_profile(dt):
+        monkeypatch.setattr(timestepper, "DT_INIT", dt)
+        monkeypatch.setattr(timestepper, "DT_MAX", dt)
+        trace = integrate(initial, 1.0, [1.0], g, p, bc, settings)
+        assert trace.status == COMPLETED
+        assert trace.rejected_error == trace.rejected_newton == 0
+        # Constant steps, up to the round-off the last one absorbs.
+        np.testing.assert_allclose(trace.step_dt, dt, rtol=1e-10)
+        return trace.final.s
+
+    reference = final_profile(1.0 / 640.0)
+    errors = [np.abs(final_profile(dt) - reference).max()
+              for dt in (0.1, 0.05, 0.025, 0.0125)]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(1.8 <= order <= 2.2 for order in orders), orders

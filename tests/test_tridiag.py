@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,105 @@ def test_size_mismatch_raises():
                       upper=np.array([1.0]))
     with pytest.raises(ValueError):
         solve(tri, np.array([1.0, 1.0, 1.0]))
+    # A one-entry band would broadcast over every off-diagonal row; a
+    # two-entry one would not broadcast at all.
+    for lower, upper in [([0.5], [0.1]), ([0.5, 0.5], np.full(4, 0.1))]:
+        tri = Tridiagonal(lower=np.array(lower), diag=np.full(5, 2.0),
+                          upper=np.array(upper))
+        with pytest.raises(ValueError, match=f"band lengths {len(lower)} "):
+            solve(tri, np.ones(5))
+
+
+def solve_on_fresh_thread(tri, b):
+    """solve on a thread of its own, which builds a plan of its own."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(solve, tri, b).result()
+
+
+def test_plan_reuse_keeps_every_answer():
+    rng = np.random.default_rng(26)
+    for n in (500, 5000, 500, 7, 500):
+        tri = random_system(rng, n)
+        b = rng.normal(size=n)
+        np.testing.assert_array_equal(solve(tri, b),
+                                      solve_on_fresh_thread(tri, b))
+
+
+@pytest.mark.parametrize("pivot", ["reduction", "sweep"])
+def test_failed_solve_leaves_nothing_behind(pivot):
+    # A zero first pivot fills the reduction's levels and x with inf and
+    # nan at n = 500; at n = 3 the sweep meets its zero pivot midway.
+    rng = np.random.default_rng(27)
+    if pivot == "reduction":
+        n = 500
+        singular = random_system(rng, n)
+        singular.diag[0] = 0.0
+    else:
+        n = 3
+        singular = Tridiagonal(lower=np.ones(2), diag=np.ones(3),
+                               upper=np.ones(2))
+    solve(random_system(rng, n), rng.normal(size=n))
+    with pytest.raises(SingularMatrixError):
+        solve(singular, np.ones(n))
+    tri = random_system(rng, n)
+    b = rng.normal(size=n)
+    np.testing.assert_array_equal(solve(tri, b), solve_on_fresh_thread(tri, b))
+
+
+def test_result_survives_the_next_solve():
+    rng = np.random.default_rng(28)
+    first = solve(random_system(rng, 500), rng.normal(size=500))
+    kept = first.copy()
+    solve(random_system(rng, 500), rng.normal(size=500))
+    np.testing.assert_array_equal(first, kept)
+
+
+def test_solve_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(29)
+    tri = random_system(rng, 500)
+    b = rng.normal(size=500)
+    bands = [tri.lower.copy(), tri.diag.copy(), tri.upper.copy(), b.copy()]
+    solve(tri, b)
+    for given, kept in zip([tri.lower, tri.diag, tri.upper, b], bands):
+        np.testing.assert_array_equal(given, kept)
+
+
+def test_each_thread_keeps_its_own_plan():
+    # Two threads that solve sizes of their own 200 times each, against
+    # the answers of this thread.
+    rng = np.random.default_rng(30)
+    systems = [(random_system(rng, n), rng.normal(size=n)) for n in (500, 5000)]
+    expected = [solve(tri, b) for tri, b in systems]
+
+    def repeat(tri, b):
+        return [solve(tri, b) for _ in range(200)]
+
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(repeat, tri, b) for tri, b in systems]
+        for run, x in zip(runs, expected):
+            for y in run.result():
+                np.testing.assert_array_equal(y, x)
+
+
+def test_concurrent_solves_of_one_size(monkeypatch):
+    # Both threads reach the sweep of a 500-row system before either one
+    # goes on, so each has reduced its system into the plan it sweeps; a
+    # plan shared between them would mix the two.
+    rng = np.random.default_rng(31)
+    systems = [(random_system(rng, 500), rng.normal(size=500)) for _ in range(2)]
+    expected = [solve(tri, b) for tri, b in systems]
+    barrier = threading.Barrier(2, timeout=30)
+    sweep = tridiag._sweep
+
+    def meet(a, b, c, d):
+        barrier.wait()
+        return sweep(a, b, c, d)
+
+    monkeypatch.setattr(tridiag, "_sweep", meet)
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(solve, tri, b) for tri, b in systems]
+        for run, x in zip(runs, expected):
+            np.testing.assert_array_equal(run.result(), x)
 
 
 def newton_matrix(scenario, dt):

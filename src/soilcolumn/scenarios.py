@@ -1,11 +1,11 @@
 """Ready-made column experiments and the piecewise-linear IC builder.
 
-All presets use the sandy-loam residual saturation and the unit
-transport coefficient 2*alpha_g = 1 on a 5-deep column with cell width
-0.01. example1 drains an initially saturated top layer (redistribution
-after infiltration), example2 wets the column from a wet bottom layer,
-and example3 drives a steep wetting front against Dirichlet ends for
-stability and stickiness studies.
+All presets run the paper's column: 5 deep in cells of 0.01, with
+2*alpha_g = 1, the sandy-loam s_bar and kappa = 0.005; example3 takes
+kappa and s_bar as arguments. example1 drains an initially saturated
+top layer (redistribution after infiltration), example2 wets the column
+from a wet bottom layer, and example3 drives a steep wetting front
+against Dirichlet ends for stability and stickiness studies.
 """
 
 from __future__ import annotations
@@ -85,31 +85,27 @@ class Scenario:
         return State(time=0.0, s=np.asarray(self.ic(grid.centers), dtype=float))
 
 
-_EXAMPLE_PARAMS = dict(kappa=0.005, alpha_g=0.5, depth_h=5.0)
+def _preset(breakpoints, bc: BoundarySpec, t_end: float, output_times: tuple,
+            kappa: float = 0.005, s_bar: float = SANDY_LOAM_SBAR) -> Scenario:
+    """The paper's column (see above) run from the IC breakpoints."""
+    params = Parameters(kappa=kappa, alpha_g=0.5, s_bar=s_bar, depth_h=5.0)
+    return Scenario(params=params, d=0.01, ic=ic_from_breakpoints(breakpoints),
+                    bc=bc, t_end=t_end, output_times=output_times)
+
+
+def _sealed(breakpoints) -> Scenario:
+    """A preset with no-flux ends, run to t = 2500."""
+    return _preset(breakpoints, no_flux(), 2500.0, (0.5, 5.0, 250.0, 2500.0))
 
 
 def example1() -> Scenario:
     """Redistribution of a saturated 0.5-deep surface layer, sealed ends."""
-    return Scenario(
-        params=Parameters(s_bar=SANDY_LOAM_SBAR, **_EXAMPLE_PARAMS),
-        d=0.01,
-        ic=ic_from_breakpoints([(-0.51, 0.0), (-0.50, 1.0)]),
-        bc=no_flux(),
-        t_end=2500.0,
-        output_times=(0.5, 5.0, 250.0, 2500.0),
-    )
+    return _sealed([(-0.51, 0.0), (-0.50, 1.0)])
 
 
 def example2() -> Scenario:
     """Wetting from a 0.49-thick bottom layer at s=0.3, sealed ends."""
-    return Scenario(
-        params=Parameters(s_bar=SANDY_LOAM_SBAR, **_EXAMPLE_PARAMS),
-        d=0.01,
-        ic=ic_from_breakpoints([(-4.51, 0.3), (-4.50, 0.0)]),
-        bc=no_flux(),
-        t_end=2500.0,
-        output_times=(0.5, 5.0, 250.0, 2500.0),
-    )
+    return _sealed([(-4.51, 0.3), (-4.50, 0.0)])
 
 
 def example3(kappa: float = 0.005, s_bar: float = SANDY_LOAM_SBAR) -> Scenario:
@@ -118,15 +114,9 @@ def example3(kappa: float = 0.005, s_bar: float = SANDY_LOAM_SBAR) -> Scenario:
     kappa in [0, 0.01] spans the stability study; s_bar defaults to the
     sandy-loam value and s_bar=0 switches the stickiness off.
     """
-    params = Parameters(kappa=kappa, alpha_g=0.5, s_bar=s_bar, depth_h=5.0)
-    return Scenario(
-        params=params,
-        d=0.01,
-        ic=ic_from_breakpoints([(-2.01, 0.0), (-2.00, 1.0), (0.0, 0.0)]),
-        bc=BoundarySpec(top=Dirichlet(0.0), bottom=Dirichlet(0.0)),
-        t_end=5.0,
-        output_times=(0.5, 5.0),
-    )
+    return _preset([(-2.01, 0.0), (-2.00, 1.0), (0.0, 0.0)],
+                   BoundarySpec(top=Dirichlet(0.0), bottom=Dirichlet(0.0)),
+                   5.0, (0.5, 5.0), kappa, s_bar)
 
 
 SCENARIOS = {

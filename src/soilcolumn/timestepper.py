@@ -379,6 +379,8 @@ def record(states: Iterable[Accepted]) -> Trace:
             profiles.append(state.s)
         scalars.extend((state.time, state.dt, state.newton_iters, state.error,
                         state.inflow, state.mass, state.s_min, state.s_max))
+    if not scalars:
+        raise ValueError("no accepted states to record")
     if kept[-1] != i:
         kept.append(i)
         profiles.append(state.s)

@@ -35,6 +35,11 @@ class Tridiagonal:
 # A system is reduced until fewer than 2**SWEEP_BITS rows are
 # left, and those are solved by a sequential sweep: below that size a
 # level's round of NumPy calls costs more than the rows it eliminates.
+# Timed with the plan (one core of a 2-core Xeon VM, NumPy 2.4, best of
+# 9 repeats over two passes), a solve takes 41.5, 43.2 and 51.7 us at
+# n = 500 and 110.8, 109.9 and 115.6 us at n = 5,000 for 5, 6 and 7.
+# 5 and 6 are within the noise of each other, and another value changes
+# the reduction's arithmetic, so every trajectory moves by round-off.
 SWEEP_BITS = 6
 
 

@@ -55,10 +55,19 @@ class TestExample2:
         assert a.params == b.params
         assert a.bc == b.bc
         assert a.d == b.d
+        assert a.t_end == b.t_end
         assert a.output_times == b.output_times
 
 
 class TestExample3:
+    def test_parameters(self):
+        scn = example3()
+        assert scn.params.kappa == 0.005
+        assert 2.0 * scn.params.alpha_g == 1.0
+        assert scn.params.depth_h == 5.0
+        assert scn.d == 0.01
+        assert scn.t_end == 5.0
+
     def test_initial_condition(self):
         ic = example3().ic
         assert ic(-2.0) == 1.0

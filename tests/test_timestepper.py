@@ -505,6 +505,11 @@ def test_record_matches_tuple_record(t_end, outputs):
             assert a == b, field
 
 
+def test_record_refuses_no_states():
+    with pytest.raises(ValueError, match="no accepted states"):
+        record([])
+
+
 def test_trace_state_lookup():
     g = build_grid(1.0, 0.1)
     state = State(0.0, np.full(g.n_cells, 0.2))

@@ -196,7 +196,8 @@ class Trace:
 
 
 def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
-                  p: Parameters, bc: BoundarySpec, start: np.ndarray) -> tuple:
+                  p: Parameters, bc: BoundarySpec, start: np.ndarray,
+                  plan: tridiag.Plan) -> tuple:
     """Solve u - s_old - dt*rhs(u) = 0 from start: (u, iterations used,
     rhs at u and t_new); NewtonError when the iteration does not converge."""
     u = start.copy()
@@ -213,7 +214,7 @@ def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
         system = tridiag.Tridiagonal(
             -dt * jac.lower, 1.0 - dt * jac.diag, -dt * jac.upper)
         try:
-            delta = tridiag.solve(system, np.negative(residual, residual))
+            delta = tridiag.solve(system, np.negative(residual, residual), plan)
         except tridiag.SingularMatrixError as exc:
             raise NewtonError(str(exc)) from exc
         u += delta
@@ -225,7 +226,7 @@ def _newton_solve(s_old: np.ndarray, t_new: float, dt: float, grid: Grid,
 
 def _tr_bdf2(s: np.ndarray, f0: np.ndarray, t: float, dt: float, t_new: float,
              grid: Grid, p: Parameters, bc: BoundarySpec, bend: np.ndarray,
-             dt_prev: float) -> tuple:
+             dt_prev: float, plan: tridiag.Plan) -> tuple:
     """One TR-BDF2 step from s at t, f0 = rhs there, to t_new = t + dt:
     (u1, Newton iterations of both stages, the trapezoid stage's State,
     rhs at it, rhs at u1). bend is f1 - f_gamma of the last accepted
@@ -237,14 +238,14 @@ def _tr_bdf2(s: np.ndarray, f0: np.ndarray, t: float, dt: float, t_new: float,
     start = s + GAMMA * dt * f0
     start += TAYLOR * dt * min(dt / dt_prev, GROWTH_CAP) * bend
     u_gamma, iters_gamma, f_gamma = _newton_solve(
-        s + half * f0, t_gamma, half, grid, p, bc, start)
+        s + half * f0, t_gamma, half, grid, p, bc, start, plan)
     s_bdf2 = (u_gamma - (1.0 - GAMMA) ** 2 * s) / (GAMMA * (2.0 - GAMMA))
     # The BDF2 stage starts at t + dt on the quadratic through s with slope
     # f_gamma at u_gamma: u_gamma + r*dt*f_gamma + r**2*(s - u_gamma), with
     # r = (1 - GAMMA)/GAMMA and so r**2 = 1/2.
     start = 0.5 * (s + u_gamma)
     start += (1.0 - GAMMA) / GAMMA * dt * f_gamma
-    u1, iters_1, f1 = _newton_solve(s_bdf2, t_new, half, grid, p, bc, start)
+    u1, iters_1, f1 = _newton_solve(s_bdf2, t_new, half, grid, p, bc, start, plan)
     return u1, iters_gamma + iters_1, State(t_gamma, u_gamma), f_gamma, f1
 
 
@@ -301,6 +302,8 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     failure = None
     t = t0
     s = np.array(initial.s, dtype=float)
+    # The work arrays of every linear solve of the run, freed with it.
+    plan = tridiag.Plan(s.size)
     # A state is yielded once the step after it is accepted, so that the
     # last one can carry the failure reason.
     pending, net = accepted(t, s), net_inflow(State(time=t, s=s), grid, p, bc)
@@ -309,7 +312,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
     # which no step size mends; a run with no step to take makes none.
     if t < t_end:
         try:
-            f0 = _newton_solve(s, t, 0.0, grid, p, bc, s)[2]
+            f0 = _newton_solve(s, t, 0.0, grid, p, bc, s, plan)[2]
         except NewtonError as exc:
             failure = f"non-finite rhs at the initial state: {exc}"
     # f1 - f_gamma of the last accepted step and its length; zero before
@@ -335,7 +338,7 @@ def _march(initial: State, t_end: float, output_times: Sequence[float],
                 break
             try:
                 u, iters, stage, f_gamma, f1 = _tr_bdf2(
-                    s, f0, t, dt, t_new, grid, p, bc, bend, dt_prev)
+                    s, f0, t, dt, t_new, grid, p, bc, bend, dt_prev, plan)
             except NewtonError as exc:
                 rejected_newton += 1
                 factor, cause = 0.5, f"after Newton failure: {exc}"

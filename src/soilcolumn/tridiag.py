@@ -2,14 +2,12 @@
 cyclic reduction, finished by a Thomas sweep once fewer than 64 rows are left.
 
 The reduction's work arrays and views depend only on the row count, so
-they are built once per size, as a plan that each thread keeps for the
-last size it solved: about 10.5 doubles per padded row, 0.41 MiB at
-n = 5,000. A run at discretization.MAX_CELLS (10**6 cells) keeps about
-81 MiB in its plan until that thread solves a different size."""
+the caller builds them once per size, as a Plan, and passes it to every
+solve of that size: about 10.5 doubles per padded row, 0.41 MiB at
+n = 5,000 and about 81 MiB at discretization.MAX_CELLS (10**6 cells)."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +62,9 @@ def _sweep(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> list:
     return x
 
 
-class _Plan:
+class Plan:
     """The work arrays of the reduction of an n-row system and the views
-    each level reads and writes, built once and reused by every solve of
+    each level reads and writes, built once and passed to every solve of
     that size. A solve writes a[1:n], b[:n], c[:n-1], d[:n], every level
     array and every interior entry of x, so a failed solve leaves nothing
     that a later one reads."""
@@ -108,11 +106,7 @@ class _Plan:
         self.back = back[::-1]
 
 
-# One plan per thread, for the size that thread solved last.
-_local = threading.local()
-
-
-def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
+def solve(tri: Tridiagonal, rhs: np.ndarray, plan: Plan) -> np.ndarray:
     """Solve tri @ x = rhs by odd-even cyclic reduction (no pivoting).
 
     Each level eliminates the even-indexed rows from their odd-indexed
@@ -132,16 +126,13 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     rows, uncoupled from the system, so it changes neither the depth nor
     the first n unknowns.
 
-    The work arrays and their views depend only on n, so each thread
-    keeps one plan (_Plan) for the last size it solved and builds a new
-    one when n changes. A plan holds about 10.5 doubles per padded row,
-    0.41 MiB at n = 5,000, until its thread solves another size. The
-    solve copies tri and rhs into it and writes into neither; the result
-    is a fresh array.
+    plan holds the work arrays and views, Plan(n) for n rows. The solve
+    copies tri and rhs into it and writes into neither; the result is a
+    fresh array. Two solves that run at once need a plan each.
 
-    Raises ValueError when a band or rhs does not match the matrix size,
-    and SingularMatrixError when a pivot vanishes or the solution is not
-    finite.
+    Raises ValueError when a band, rhs or plan does not match the matrix
+    size, and SingularMatrixError when a pivot vanishes or the solution
+    is not finite.
     """
     n = tri.diag.size
     if rhs.size != n:
@@ -149,9 +140,8 @@ def solve(tri: Tridiagonal, rhs: np.ndarray) -> np.ndarray:
     if tri.lower.size != n - 1 or tri.upper.size != n - 1:
         raise ValueError(f"band lengths {tri.lower.size} (lower) and "
                          f"{tri.upper.size} (upper) != matrix size {n} - 1")
-    plan = getattr(_local, "plan", None)
-    if plan is None or plan.n != n:
-        plan = _local.plan = _Plan(n)
+    if plan.n != n:
+        raise ValueError(f"plan for {plan.n} rows != matrix size {n}")
     a, b, c, d = plan.bands
     # A zero pivot of the reduction turns its own unknown into inf or
     # nan, so the finiteness check on the solution catches it without a

@@ -16,6 +16,7 @@ from soilcolumn.scenarios import example1, example2, example3, ic_from_breakpoin
 from soilcolumn.timestepper import (
     FAILED, GAMMA, GROWTH_CAP, W_BDF2, W_TRAPEZOID, SolverSettings, Trace,
     _newton_solve, integrate)
+from soilcolumn.tridiag import Plan
 
 from oracles import OracleInvalidError, characteristics_oracle
 
@@ -81,13 +82,14 @@ def profile_audit(times, step_dt, profiles, grid, p, bc):
     # before the first: a zero bend and a ratio dt/inf of zero
     taylor = 0.5 * GAMMA**2 / (1.0 - GAMMA)
     bend, dt_prev = 0.0, math.inf
+    plan = Plan(grid.n_cells)
     for k, dt in enumerate(step_dt.tolist()):
         t, s = times[k], profiles[k]
         half = 0.5 * GAMMA * dt
         start = s + GAMMA * dt * f[k]
         start += taylor * dt * min(dt / dt_prev, GROWTH_CAP) * bend
         u_gamma, _, f_gamma = _newton_solve(
-            s + half * f[k], t + GAMMA * dt, half, grid, p, bc, start)
+            s + half * f[k], t + GAMMA * dt, half, grid, p, bc, start, plan)
         stage_nets.append(net(t + GAMMA * dt, u_gamma))
         bend, dt_prev = f[k + 1] - f_gamma, dt
     inflow = step_dt * (W_TRAPEZOID * (nets[:-1] + np.array(stage_nets))

@@ -1,4 +1,8 @@
+import dataclasses
+import gc
 import math
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from soilcolumn.scenarios import example1, example3
 from soilcolumn.timestepper import (
     COMPLETED, FAILED, SolverSettings, Trace, _newton_solve, accepted_states,
     integrate, record)
+from soilcolumn.tridiag import Plan
 
 SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 
@@ -18,7 +23,8 @@ SANDY = Parameters(kappa=0.005, alpha_g=0.5, s_bar=0.2303)
 def backward_euler(s_old, dt, g, p):
     """One backward-Euler stage from s_old at t=0 over dt, started at
     s_old: (u, iterations used)."""
-    u, iters, _ = _newton_solve(s_old, dt, dt, g, p, no_flux(), s_old)
+    u, iters, _ = _newton_solve(s_old, dt, dt, g, p, no_flux(), s_old,
+                                Plan(s_old.size))
     return u, iters
 
 
@@ -91,11 +97,12 @@ class TestNewtonStep:
         g = scn.build_grid()
         s_old = scn.initial_state(g).s
         args = (s_old, 0.01, 0.01, g, scn.params, scn.bc)
-        u, iters, f = _newton_solve(*args, s_old)
+        plan = Plan(g.n_cells)
+        u, iters, f = _newton_solve(*args, s_old, plan)
         assert iters > 1
         # the last residual check is at u
         np.testing.assert_array_equal(f, rhs(State(0.01, u), g, scn.params, scn.bc))
-        again, iters, f_again = _newton_solve(*args, u)
+        again, iters, f_again = _newton_solve(*args, u, plan)
         assert iters == 1
         np.testing.assert_array_equal(again, u)
         np.testing.assert_array_equal(f_again, f)
@@ -111,7 +118,8 @@ class TestNewtonStep:
             start = s_old + dt * rhs(State(dt, s_old), g, scn.params, scn.bc)
         inputs = [s_old, start]
         before = [x.copy() for x in inputs]
-        u, iters, _ = _newton_solve(s_old, dt, dt, g, scn.params, scn.bc, start)
+        u, iters, _ = _newton_solve(s_old, dt, dt, g, scn.params, scn.bc, start,
+                                    Plan(g.n_cells))
         assert iters > 1
         for x, y in zip(inputs, before):
             assert x.tobytes() == y.tobytes()
@@ -524,6 +532,58 @@ def test_trace_state_lookup():
     assert 1 not in trace.kept
     with pytest.raises(ValueError, match="not kept"):
         trace.state_at(trace.times[1])
+
+
+def test_the_run_owns_its_plan(monkeypatch):
+    # A run builds one plan of its own row count and lets it go when it
+    # ends: when integrate returns, or when its accepted_states are closed.
+    built = []
+
+    def plan(n):
+        made = Plan(n)
+        built.append(weakref.ref(made))
+        return made
+
+    def alive():
+        gc.collect()
+        return [ref().n for ref in built if ref() is not None]
+
+    monkeypatch.setattr(timestepper.tridiag, "Plan", plan)
+    scn = example1()
+    g = scn.build_grid()
+    args = (scn.initial_state(g), 0.05, [0.05], g, scn.params, scn.bc)
+    assert integrate(*args).status == COMPLETED
+    assert len(built) == 1 and not alive()
+    states = accepted_states(*args)
+    next(states)
+    next(states)
+    assert len(built) == 2 and alive() == [g.n_cells]
+    states.close()
+    assert not alive()
+
+
+def test_concurrent_runs_match_serial_runs(ex1_to_t5):
+    # Runs of 500 and 5,000 cells on two threads at once, each bit for
+    # bit the run alone.
+    scn, grid, ex1_alone, _ = ex1_to_t5
+    fine = dataclasses.replace(example3(), d=0.001, t_end=0.01,
+                               output_times=(0.01,))
+    runs = [(scn, grid), (fine, fine.build_grid())]
+
+    def run(scn, grid):
+        return integrate(scn.initial_state(grid), scn.t_end, scn.output_times,
+                         grid, scn.params, scn.bc)
+
+    alone = [ex1_alone, run(*runs[1])]
+    with ThreadPoolExecutor(2) as pool:
+        together = list(pool.map(run, *zip(*runs), timeout=60))
+    for a, b in zip(alone, together):
+        for field in dataclasses.fields(Trace):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+            else:
+                assert x == y, field.name
 
 
 def test_nan_error_estimate_fails_the_run(monkeypatch):

@@ -16,8 +16,12 @@ import soilcolumn
 from soilcolumn import tridiag
 from soilcolumn.discretization import jacobian
 from soilcolumn.scenarios import example2, example3
-from soilcolumn.tridiag import (
-    SWEEP_BITS, SingularMatrixError, Tridiagonal, solve)
+from soilcolumn.tridiag import SWEEP_BITS, Plan, SingularMatrixError, Tridiagonal
+
+
+def solve(tri, b):
+    """tridiag.solve in a plan of its own."""
+    return tridiag.solve(tri, b, Plan(tri.diag.size))
 
 
 def random_system(rng, n):
@@ -187,19 +191,22 @@ def test_size_mismatch_raises():
             solve(tri, np.ones(5))
 
 
-def solve_on_fresh_thread(tri, b):
-    """solve on a thread of its own, which builds a plan of its own."""
-    with ThreadPoolExecutor(1) as pool:
-        return pool.submit(solve, tri, b).result()
+def test_plan_of_another_size_raises():
+    tri = random_system(np.random.default_rng(32), 500)
+    with pytest.raises(ValueError, match="plan for 501 rows != matrix size 500"):
+        tridiag.solve(tri, np.ones(500), Plan(501))
 
 
 def test_plan_reuse_keeps_every_answer():
+    # One plan per size, each reused after solves of other sizes, against
+    # a fresh plan for every solve.
     rng = np.random.default_rng(26)
+    plans = {n: Plan(n) for n in (500, 5000, 7)}
     for n in (500, 5000, 500, 7, 500):
         tri = random_system(rng, n)
         b = rng.normal(size=n)
-        np.testing.assert_array_equal(solve(tri, b),
-                                      solve_on_fresh_thread(tri, b))
+        np.testing.assert_array_equal(tridiag.solve(tri, b, plans[n]),
+                                      solve(tri, b))
 
 
 @pytest.mark.parametrize("pivot", ["reduction", "sweep"])
@@ -215,19 +222,21 @@ def test_failed_solve_leaves_nothing_behind(pivot):
         n = 3
         singular = Tridiagonal(lower=np.ones(2), diag=np.ones(3),
                                upper=np.ones(2))
-    solve(random_system(rng, n), rng.normal(size=n))
+    plan = Plan(n)
+    tridiag.solve(random_system(rng, n), rng.normal(size=n), plan)
     with pytest.raises(SingularMatrixError):
-        solve(singular, np.ones(n))
+        tridiag.solve(singular, np.ones(n), plan)
     tri = random_system(rng, n)
     b = rng.normal(size=n)
-    np.testing.assert_array_equal(solve(tri, b), solve_on_fresh_thread(tri, b))
+    np.testing.assert_array_equal(tridiag.solve(tri, b, plan), solve(tri, b))
 
 
 def test_result_survives_the_next_solve():
     rng = np.random.default_rng(28)
-    first = solve(random_system(rng, 500), rng.normal(size=500))
+    plan = Plan(500)
+    first = tridiag.solve(random_system(rng, 500), rng.normal(size=500), plan)
     kept = first.copy()
-    solve(random_system(rng, 500), rng.normal(size=500))
+    tridiag.solve(random_system(rng, 500), rng.normal(size=500), plan)
     np.testing.assert_array_equal(first, kept)
 
 
@@ -241,27 +250,10 @@ def test_solve_leaves_its_inputs_unchanged():
         np.testing.assert_array_equal(given, kept)
 
 
-def test_each_thread_keeps_its_own_plan():
-    # Two threads that solve sizes of their own 200 times each, against
-    # the answers of this thread.
-    rng = np.random.default_rng(30)
-    systems = [(random_system(rng, n), rng.normal(size=n)) for n in (500, 5000)]
-    expected = [solve(tri, b) for tri, b in systems]
-
-    def repeat(tri, b):
-        return [solve(tri, b) for _ in range(200)]
-
-    with ThreadPoolExecutor(2) as pool:
-        runs = [pool.submit(repeat, tri, b) for tri, b in systems]
-        for run, x in zip(runs, expected):
-            for y in run.result():
-                np.testing.assert_array_equal(y, x)
-
-
 def test_concurrent_solves_of_one_size(monkeypatch):
     # Both threads reach the sweep of a 500-row system before either one
-    # goes on, so each has reduced its system into the plan it sweeps; a
-    # plan shared between them would mix the two.
+    # goes on, so each has reduced its system into its own plan before it
+    # sweeps; a plan shared between them would mix the two.
     rng = np.random.default_rng(31)
     systems = [(random_system(rng, 500), rng.normal(size=500)) for _ in range(2)]
     expected = [solve(tri, b) for tri, b in systems]

@@ -54,14 +54,14 @@ def mass_balance_audit(trace, grid: Grid, p: Parameters,
     return mass - mass[0] - np.concatenate(([0.0], np.cumsum(trace.step_inflow)))
 
 
-def _cross_time(times: np.ndarray, series: np.ndarray, threshold: float,
+def _cross_time(x: np.ndarray, series: np.ndarray, threshold: float,
                 k: int) -> float:
-    """Time where series crosses threshold between entries k-1 and k."""
+    """The x, a time or a depth, where series crosses threshold on [x[k-1], x[k]]."""
     if k == 0:
-        return float(times[0])
-    t0, t1 = times[k - 1], times[k]
+        return float(x[0])
+    x0, x1 = x[k - 1], x[k]
     y0, y1 = series[k - 1], series[k]
-    return float(t0 + (threshold - y0) * (t1 - t0) / (y1 - y0))
+    return float(x0 + (threshold - y0) * (x1 - x0) / (y1 - y0))
 
 
 def detect_event(trace, kind: str, threshold: float,
@@ -108,14 +108,8 @@ def detect_event(trace, kind: str, threshold: float,
         wet = np.nonzero(state.s > threshold)[0]
         if wet.size == 0:
             return None
-        i = int(wet[0])
-        if i == 0:
-            depth = float(grid.centers[0])
-        else:
-            z0, z1 = grid.centers[i - 1], grid.centers[i]
-            y0, y1 = state.s[i - 1], state.s[i]
-            depth = float(z0 + (threshold - y0) * (z1 - z0) / (y1 - y0))
-        return EventReport(kind, t, depth)
+        return EventReport(
+            kind, t, _cross_time(grid.centers, state.s, threshold, int(wet[0])))
     raise ValueError(f"unknown event kind {kind!r}")
 
 

@@ -116,19 +116,17 @@ class Dirichlet(_Prescribed):
                        p: Parameters) -> tuple[float, float]:
         s_cell = float(s_cell)
         ghost = 2.0 * self.value_at(t) - s_cell
-        # The gravity term is upwinded from the ghost at the top and from
-        # the cell at the bottom: gravity_flux and its derivative, done
-        # once on floats. As in gravity_flux, r <= 0 gives 0.0 and a NaN
-        # passes through.
-        r = (ghost if end == TOP else s_cell) - p.s_bar
+        lower, upper = (s_cell, ghost) if end == TOP else (ghost, s_cell)
+        # The interior face law, gravity upwinded from the upper cell:
+        # gravity_flux and its derivative, done once on floats. As in
+        # gravity_flux, r <= 0 gives 0.0 and a NaN passes through.
+        r = upper - p.s_bar
         r = 0.0 if r <= 0.0 else r
-        gravity, slope = p.alpha_g * r * r, 2.0 * p.alpha_g * r
-        # The ghost moves opposite to the cell, d(ghost)/d(s_cell) = -1.
-        if end == TOP:
-            return (p.kappa * (ghost - s_cell) / dz + gravity,
-                    -2.0 * p.kappa / dz - slope)
-        return (p.kappa * (s_cell - ghost) / dz + gravity,
-                2.0 * p.kappa / dz + slope)
+        flux = p.kappa * (upper - lower) / dz + p.alpha_g * r * r
+        # d(ghost)/d(s_cell) = -1, so the slope in the cell is the slope in
+        # the upper cell, negated at the top, where that is the ghost.
+        slope = 2.0 * p.kappa / dz + 2.0 * p.alpha_g * r
+        return flux, (-slope if end == TOP else slope)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +21,8 @@ from soilcolumn.scenarios import SANDY_LOAM_SBAR, ic_from_breakpoints
 from soilcolumn.timestepper import integrate
 
 FAST = ["--set", "kappa=0.01", "--t-end", "0.5", "--output-times", "0.25,0.5"]
+ARTIFACTS = ("profiles.csv", "mass.csv", "extrema.csv", "events.json", "config.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read(path):
@@ -54,17 +60,67 @@ class TestRun:
         assert read(out / "mass.csv").splitlines()[0] == "t,mass,drift"
         assert read(out / "extrema.csv").splitlines()[0] == "t,s_min,s_max"
 
-    def test_config_echo_reproduces_run_bitwise(self, tmp_path):
-        first = tmp_path / "first"
+    # The replay contract: a run's config.json, run again, exits with the
+    # run's status and writes all five files byte for byte, so the echo is
+    # a fixed point. Each row is a run, as the command's arguments or as a
+    # config document, its directory within --out, its exit status and
+    # what the failure reason names.
+    @pytest.mark.parametrize("source, member, code, reason", [
+        pytest.param(["run", "--scenario", "example3", *FAST], "", 0, None,
+                     id="fast"),
+        pytest.param(["run", "--scenario", "example3", "--t-end", "0.01"], "", 0,
+                     None, id="example3"),
+        # Steps reach the cap DT_MAX from about t = 178, so the replay
+        # covers the long steps of the diffusion tail.
+        pytest.param(["run", "--scenario", "example1"], "", 0, None,
+                     id="example1"),
+        # A sweep member replays as a plain run.
+        pytest.param(["sweep", "--scenario", "example3", "--param", "kappa",
+                      "--values", "0.01,0", "--t-end", "0.01"], "kappa=0", 0,
+                     None, id="sweep-member"),
+        # Replays through the echo of its params, ic, bc and grid sections.
+        pytest.param({"params": {"h": 1.0}, "grid": {"d": 0.05},
+                      "ic": [[-1.0, 0.8], [0.0, 0.2]],
+                      "bc": {"top": {"type": "robin", "beta": 0.5, "s_out": 0.1},
+                             "bottom": {"type": "flux", "value": -0.01}},
+                      "t_end": 2.0, "output_times": [1.0, 2.0]}, "", 0, None,
+                     id="inline"),
+        # The overflow is the input under test, so its warnings are expected.
+        pytest.param(["run", "--scenario", "example1", "--set", "kappa=1e308",
+                      "--t-end", "1"], "", 2, "initial state", id="overflow",
+                     marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        pytest.param({"scenario": "example3", "t_end": 0.01,
+                      "solver": {"rel_tol": 1e-300, "abs_tol": 1e-300}}, "", 2,
+                     "DT_MIN", id="underflow"),
+    ])
+    def test_config_echo_reproduces_run_bitwise(self, tmp_path, source, member,
+                                                 code, reason):
+        if isinstance(source, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(source))
+            source = ["run", "--config", str(path)]
+        assert main([*source, "--out", str(tmp_path / "first")]) == code
+        first = tmp_path / "first" / member
         again = tmp_path / "again"
-        assert main(["run", "--scenario", "example3", *FAST,
-                     "--out", str(first)]) == 0
         assert main(["run", "--config", str(first / "config.json"),
-                     "--out", str(again)]) == 0
-        # the echo replays to itself, so config.json is a fixed point
-        for name in ("profiles.csv", "mass.csv", "extrema.csv", "events.json",
-                     "config.json"):
+                     "--out", str(again)]) == code
+        if reason is not None:
+            assert reason in json.loads(read(first / "events.json"))["solver"]["reason"]
+        for name in ARTIFACTS:
             assert read(first / name) == read(again / name)
+
+    def test_module_entry_point_exits_with_main_status(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        for code, args in ((0, ["--t-end", "0.001"]),
+                           (1, ["--t-end", "-1"]),
+                           (2, ["--set", "kappa=1e308"])):
+            done = subprocess.run(
+                [sys.executable, "-m", "soilcolumn.cli", "run", "--scenario",
+                 "example3", *args, "--out", str(tmp_path / str(code))],
+                env=env, capture_output=True, timeout=60)
+            assert done.returncode == code, done.stderr
 
     def test_inline_config(self, tmp_path):
         cfg = {

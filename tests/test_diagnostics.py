@@ -62,6 +62,8 @@ class TestMassBalanceAudit:
         empty = synthetic_trace(np.empty(0), np.empty((0, g.n_cells)))
         with pytest.raises(ValueError):
             mass_balance_audit(empty, g, SANDY, no_flux())
+        with pytest.raises(ValueError):
+            detect_event(empty, MAX_BELOW_SBAR, SANDY.s_bar)
 
 
 def profile_audit(times, step_dt, profiles, grid, p, bc):
@@ -264,6 +266,9 @@ class TestDetectEvent:
         # crossing between -0.625 (0.0) and -0.375 (0.2)
         assert report.value == pytest.approx(-0.625 + 0.25 * 0.5)
         assert report.time == 0.0
+        # wet in the bottom cell: the front is at its center
+        trace = synthetic_trace([0.0], [[0.8, 0.0, 0.0, 0.0]])
+        assert detect_event(trace, FRONT_DEPTH, 0.1, grid=g).value == -0.875
 
     def test_front_depth_needs_grid(self):
         trace = synthetic_trace([0.0], [[0.5]])

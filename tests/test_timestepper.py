@@ -148,6 +148,19 @@ class TestNewtonStep:
         assert new.max() <= s_old.max() + 1e-12
         assert np.all(np.isfinite(new))
 
+    # rhs at the huge first iterate overflows, which is expected here.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_iterate_raises(self, monkeypatch):
+        # Each delta is the largest float: the first update stays finite,
+        # the second overflows u.
+        def solve(tri, rhs, plan):
+            return np.full(rhs.size, np.finfo(float).max)
+
+        monkeypatch.setattr(timestepper.tridiag, "solve", solve)
+        g = build_grid(5.0, 0.1)
+        with pytest.raises(timestepper.NewtonError, match="non-finite iterate at t="):
+            backward_euler(np.full(g.n_cells, 0.6), 0.5, g, SANDY)
+
 
 class TestIntegrate:
     def test_empty_interval(self):
